@@ -13,10 +13,10 @@
 #include <vector>
 
 #include "core/best_response.h"
-#include "core/distributed.h"
 #include "core/satisfaction.h"
 #include "obs/report.h"
 #include "svc/client.h"
+#include "svc/distributed.h"
 #include "svc/service.h"
 
 namespace {
@@ -107,8 +107,8 @@ int main() {
     player.p_max = util::kw(200.0);
     players.push_back(std::move(player));
   }
-  const core::DistributedResult reference = core::run_distributed_game(
-      std::move(players), make_cost(), kSections, util::kw(50.0));
+  const svc::DistributedResult reference =
+      svc::run_distributed_game(std::move(players), make_cost(), kSections);
   const double diff =
       service.schedule().max_abs_diff(reference.schedule);
   std::printf("service: max |served - distributed| = %.17g %s\n", diff,

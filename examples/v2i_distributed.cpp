@@ -11,7 +11,7 @@
 #include <iostream>
 #include <memory>
 
-#include "core/distributed.h"
+#include "svc/distributed.h"
 #include "util/csv.h"
 
 namespace {
@@ -54,13 +54,13 @@ int main(int argc, char** argv) {
   util::Table table({"drop_prob", "converged", "rounds", "retransmits",
                      "sim_time_s", "msgs_sent", "max_diff_vs_reference_kW"});
   for (double rate : {0.0, drop, 0.3}) {
-    core::DistributedConfig config;
+    svc::DistributedConfig config;
     config.link.base_latency_s = 0.02;  // DSRC-like
     config.link.jitter_s = 0.01;
     config.link.drop_probability = rate;
     config.retransmit_timeout_s = 0.15;
-    const core::DistributedResult result = core::run_distributed_game(
-        make_players(), make_cost(), 5, olev::util::kw(50.0), config);
+    const svc::DistributedResult result =
+        svc::run_distributed_game(make_players(), make_cost(), 5, config);
     table.add_row({util::fmt(rate, 2), result.converged ? "yes" : "no",
                    util::fmt(static_cast<double>(result.rounds), 0),
                    util::fmt(static_cast<double>(result.retransmissions), 0),

@@ -65,12 +65,4 @@ double payment_derivative(const SectionCost& z, const SortedLoads& others_load,
   return z.derivative(others_load.level_for(total));
 }
 
-PaymentQuote quote_payment(const SectionCost& z,
-                           std::span<const double> others_load, Kilowatts total) {
-  PaymentQuote quote;
-  quote.allocation = water_fill(others_load, total);
-  quote.payment = externality_payment(z, others_load, quote.allocation.row);
-  return quote;
-}
-
 }  // namespace olev::core

@@ -47,13 +47,4 @@ namespace olev::core {
                                         const SortedLoads& others_load,
                                         Kilowatts total);
 
-/// Convenience bundle when both the value and the allocation are needed.
-struct PaymentQuote {
-  double payment = 0.0;
-  WaterFillResult allocation;
-};
-[[nodiscard]] PaymentQuote quote_payment(const SectionCost& z,
-                                         std::span<const double> others_load,
-                                         Kilowatts total);
-
 }  // namespace olev::core

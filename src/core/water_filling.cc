@@ -267,54 +267,6 @@ WaterFillResult water_fill(std::span<const double> others_load,
   return result;
 }
 
-WaterFillResult water_fill_masked(std::span<const double> others_load,
-                                  Kilowatts total_kw,
-                                  const std::vector<bool>& mask) {
-  const double total = total_kw.value();
-  if (mask.size() != others_load.size()) {
-    throw std::invalid_argument("water_fill_masked: mask length mismatch");
-  }
-  // Collect the admissible subset, solve on it, scatter back.
-  std::vector<double> subset;
-  std::vector<std::size_t> positions;
-  for (std::size_t c = 0; c < mask.size(); ++c) {
-    if (mask[c]) {
-      subset.push_back(others_load[c]);
-      positions.push_back(c);
-    }
-  }
-  if (subset.empty()) {
-    if (total > 0.0) {
-      throw std::invalid_argument(
-          "water_fill_masked: positive total with empty mask");
-    }
-    WaterFillResult empty;
-    empty.row.assign(others_load.size(), 0.0);
-    return empty;
-  }
-  WaterFillResult inner = water_fill(subset, total_kw);
-  WaterFillResult result;
-  result.level = inner.level;
-  result.active_sections = inner.active_sections;
-  result.iterations = inner.iterations;
-  result.row.assign(others_load.size(), 0.0);
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    result.row[positions[i]] = inner.row[i];
-  }
-#if OLEV_AUDIT_ENABLED
-  // Section IV-A mask contract: sections off the OLEV's path receive
-  // *exactly* zero (the inner call already audited Lemma IV.1 on the
-  // admissible subset).
-  for (std::size_t c = 0; c < mask.size(); ++c) {
-    OLEV_AUDIT_CHECK(mask[c] || result.row[c] == 0.0,
-                     "water_fill_masked: allocation " +
-                         std::to_string(result.row[c]) +
-                         " on masked-out section " + std::to_string(c));
-  }
-#endif
-  return result;
-}
-
 WaterFillResult water_fill_bisect(std::span<const double> others_load,
                                   Kilowatts total_kw, double tolerance) {
   const double total = total_kw.value();

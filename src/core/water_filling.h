@@ -49,16 +49,6 @@ struct WaterFillResult {
 [[nodiscard]] OLEV_HOT double water_fill_volume(
     std::span<const double> others_load, Kilowatts level);
 
-/// Masked variant: water-fills `total` over only the sections with
-/// mask[c] == true (the sections on the OLEV's planned path -- Section
-/// IV-A's ETA exchange tells the grid which sections a vehicle will
-/// actually traverse).  Unmasked sections receive exactly 0.  Lemma IV.1
-/// holds verbatim on the masked subset.  Requires at least one masked
-/// section when total > 0.
-[[nodiscard]] WaterFillResult water_fill_masked(std::span<const double> others_load,
-                                                Kilowatts total,
-                                                const std::vector<bool>& mask);
-
 /// A pre-sorted view of an others-load vector b for repeated water-fill
 /// queries against the same (or nearly the same) b.
 ///

@@ -64,12 +64,10 @@ std::vector<double> PricingEngine::others_load(std::size_t player) const {
 }
 
 void PricingEngine::apply_exact(std::size_t player, double admitted) {
-  // Mirror of SmartGrid::handle (src/core/distributed.cc): the service's
-  // bit-identity contract with the in-process driver depends on this exact
-  // arithmetic.  SortedLoads::fill_into is property-tested bit-identical to
-  // water_fill's row (tests/test_water_filling.cc), so swapping the
-  // allocating call for the arena fill preserves the contract pinned by
-  // tests/test_svc.cc.
+  // The paper's N-player update: exclusion scan, Lemma IV.1 fill, Eq. 8-9
+  // payment.  SortedLoads::fill_into is property-tested bit-identical to
+  // water_fill's row (tests/test_water_filling.cc), so the arena fill
+  // reproduces the allocating solver's allocation exactly.
   schedule_.column_totals_excluding_into(player, scratch_others_);
   scratch_sorted_.reassign(scratch_others_);
   scratch_sorted_.fill_into(util::kw(admitted), scratch_applied_.row);

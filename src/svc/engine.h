@@ -1,19 +1,19 @@
-// The service's game state: an online, incrementally-updated instance of the
-// paper's asynchronous best-response process (Section IV-D).
+// The grid-side update of the paper's asynchronous best-response process
+// (Section IV-D), as an online, incrementally-updated game state.
 //
-// Each applied request is one player update: the grid water-fills the
-// admitted total against the other players' current load (Lemma IV.1) and
-// charges the externality payment (Eq. 8-9).  Theorem IV.1 guarantees the
-// sequence of such updates converges to the unique socially optimal schedule
-// no matter how requests interleave, which is exactly what lets the service
-// batch them: a batch is applied sequentially, each entry against the
-// then-current state.
+// Each applied request is one player update: the grid clamps the request to
+// the player's admission cap, water-fills the admitted total against the
+// other players' current load (Lemma IV.1), charges the externality payment
+// (Eq. 8-9) and closes a player cycle once every row moved by less than
+// epsilon.  Theorem IV.1 guarantees the sequence of such updates converges
+// to the unique socially optimal schedule no matter how requests
+// interleave, which is exactly what lets the service batch them: a batch is
+// applied sequentially, each entry against the then-current state.
 //
-// The arithmetic here is line-for-line the SmartGrid update of
-// src/core/distributed.cc -- same column_totals_excluding / water_fill /
-// externality_payment calls, same cycle-based convergence bookkeeping -- so
-// a grid-paced service session reproduces the in-process distributed driver
-// bit-for-bit (pinned by tests/test_svc.cc).
+// This is the one implementation of that update.  The socket service
+// (svc/service.h) and the V2I bus driver (svc/distributed.h) both apply
+// every request through PricingEngine::apply, so a grid-paced olevd session
+// and run_distributed_game agree bit-for-bit by construction.
 #pragma once
 
 #include <cstddef>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -20,6 +21,21 @@ namespace {
 constexpr std::size_t kReadChunkBytes = 16 * 1024;
 /// Admin command lines are tiny ("snapshot\n"); anything longer is garbage.
 constexpr std::size_t kMaxAdminLineBytes = 256;
+/// Per-session outgoing buffer bound: a client that stops draining its
+/// socket is dropped instead of buffered without limit.
+constexpr std::size_t kMaxWriteBufferBytes = 4u << 20;
+/// How long a drain may wait for write buffers to flush before closing.
+constexpr double kDrainTimeoutS = 5.0;
+/// Grid-paced mode: re-announce into silence (a lost client) after this.
+constexpr double kAnnounceRetryS = 1.0;
+/// Upper bucket edges (µs) shared by `svc.request.latency_us` and the
+/// per-phase `svc.phase.*_us` histograms.  The sub-100µs edges resolve the
+/// regime a 0µs-window loopback service actually serves in (~100k rps lands
+/// most requests below 100µs).  tests/test_admin.cc pins this layout.  Read
+/// only when obs instrumentation is compiled in.
+[[maybe_unused]] constexpr double kLatencyBucketEdgesUs[] = {
+    0,    10,   25,    50,    100,   250,    500,   1000,
+    2500, 5000, 10000, 25000, 50000, 100000, 500000};
 
 std::int64_t micros(double seconds) {
   return static_cast<std::int64_t>(seconds * 1e6);
@@ -50,11 +66,6 @@ std::uint8_t mode_byte(EngineMode mode) {
 }
 
 }  // namespace
-
-std::vector<double> default_latency_bucket_edges_us() {
-  return {0,    10,    25,    50,    100,    250,    500,    1000,
-          2500, 5000, 10000, 25000, 50000, 100000, 500000};
-}
 
 /// One connected client: its socket, the framing decoder for its byte
 /// stream, a bounded outgoing buffer, and the player binding (if any).
@@ -100,13 +111,6 @@ PricingService::PricingService(core::SectionCost cost, ServiceConfig config)
   if (config_.max_batch == 0 || config_.max_queue == 0) {
     throw std::invalid_argument("PricingService: max_batch/max_queue must be > 0");
   }
-  if (config_.announce_after_players == 0 ||
-      config_.announce_after_players > config_.players) {
-    config_.announce_after_players = config_.players;
-  }
-  if (config_.latency_bucket_edges_us.empty()) {
-    config_.latency_bucket_edges_us = default_latency_bucket_edges_us();
-  }
   if (config_.admin_enabled) {
     admin_listener_ = listen_on(config_.admin_port);
     admin_port_ = local_port(admin_listener_);
@@ -132,7 +136,8 @@ PricingService::PricingService(core::SectionCost cost, ServiceConfig config)
   started_us_ = obs::now_micros();
   OLEV_OBS_ONLY({
     obs::Registry& registry = obs::Registry::instance();
-    const std::vector<double>& edges = config_.latency_bucket_edges_us;
+    const std::vector<double> edges(std::begin(kLatencyBucketEdgesUs),
+                                    std::end(kLatencyBucketEdgesUs));
     latency_hist_ = &registry.histogram("svc.request.latency_us", edges);
     phase_admit_hist_ = &registry.histogram("svc.phase.admit_us", edges);
     phase_queue_hist_ = &registry.histogram("svc.phase.queue_us", edges);
@@ -210,7 +215,7 @@ void PricingService::send_message(const std::shared_ptr<Session>& session,
                                   const net::Message& message) {
   if (session->dead) return;
   const std::vector<std::uint8_t> frame = encode_frame(message);
-  if (session->pending_out() + frame.size() > config_.max_write_buffer_bytes) {
+  if (session->pending_out() + frame.size() > kMaxWriteBufferBytes) {
     // The peer is not draining its socket; buffering without bound would let
     // one slow client hold the schedule's memory hostage.
     ++stats_.write_overflows;
@@ -321,7 +326,7 @@ void PricingService::dispatch(const std::shared_ptr<Session>& session,
     known_players_[beacon->player] = true;
     if (!was_bound) ++bound_players_;
     if (config_.announce && !announcing_started_ &&
-        bound_players_ >= config_.announce_after_players) {
+        bound_players_ >= config_.players) {
       announcing_started_ = true;
     }
     if (reattach) {
@@ -329,7 +334,7 @@ void PricingService::dispatch(const std::shared_ptr<Session>& session,
       // after a snapshot resume): acknowledge the re-attach so the client
       // knows its binding carried over, and if the grid-paced announcement
       // was waiting on exactly this player, retransmit immediately instead
-      // of stalling the round until the announce_retry_s timer.
+      // of stalling the round until the kAnnounceRetryS timer.
       ++stats_.sessions_resumed;
       obs::flight::record(obs::flight::Event::kSessionResume, beacon->player,
                           static_cast<std::uint64_t>(engine_.updates()));
@@ -541,7 +546,7 @@ void PricingService::maybe_announce(std::int64_t now_us) {
   const auto round = static_cast<std::uint64_t>(engine_.updates());
   const bool waiting =
       announce_inflight_ && !announce_answered_ && announced_round_ >= round;
-  if (waiting && now_us - announced_at_us_ < micros(config_.announce_retry_s)) {
+  if (waiting && now_us - announced_at_us_ < micros(kAnnounceRetryS)) {
     return;
   }
   const std::size_t cursor = engine_.cursor();
@@ -562,7 +567,7 @@ void PricingService::maybe_announce(std::int64_t now_us) {
 
 void PricingService::begin_drain(std::int64_t now_us) {
   draining_ = true;
-  drain_deadline_us_ = now_us + micros(config_.drain_timeout_s);
+  drain_deadline_us_ = now_us + micros(kDrainTimeoutS);
   obs::flight::record(obs::flight::Event::kDrain, queue_.size(),
                       sessions_.size());
   listener_.close();

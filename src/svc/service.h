@@ -71,13 +71,6 @@
 
 namespace olev::svc {
 
-/// Default upper bucket edges (µs) for `svc.request.latency_us` and the
-/// per-phase `svc.phase.*_us` histograms.  The sub-100µs edges resolve the
-/// regime a 0µs-window loopback service actually serves in (~100k rps lands
-/// most requests below 100µs, where the old coarse layout lumped everything
-/// into two buckets).  tests/test_admin.cc pins this layout.
-std::vector<double> default_latency_bucket_edges_us();
-
 struct ServiceConfig {
   std::uint16_t port = 0;  ///< 0 = kernel-assigned (read back via port())
   std::size_t players = 0;
@@ -97,21 +90,13 @@ struct ServiceConfig {
   // Robustness.
   double idle_timeout_s = 60.0;  ///< reap silent connections; <= 0 disables
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  std::size_t max_write_buffer_bytes = 4u << 20;
-  double drain_timeout_s = 5.0;
 
-  // Grid-paced mode: the service announces payment functions round-robin
-  // (Section IV-D) once `announce_after_players` sessions have bound, and
-  // broadcasts CONVERGED at the fixed point.  0 = wait for all players.
+  // Grid-paced mode: once every player has bound, the service announces
+  // payment functions round-robin (Section IV-D) and broadcasts CONVERGED
+  // at the fixed point.
   bool announce = false;
-  std::size_t announce_after_players = 0;
-  double announce_retry_s = 1.0;  ///< re-announce into silence (lost client)
 
   // Observability.
-  /// Bucket edges for the request-latency and phase histograms.  First
-  /// registration fixes the layout process-wide (obs::Registry contract);
-  /// an empty vector falls back to default_latency_bucket_edges_us().
-  std::vector<double> latency_bucket_edges_us;
   /// Read-only admin/telemetry plane (docs/SERVING.md, "Admin protocol"):
   /// a second loopback listener answering line commands ("snapshot",
   /// "health", "engine", "metrics", "flight") with one-line JSON.  Off by

@@ -1,7 +1,7 @@
 // The runtime invariant auditor (src/util/audit.h) in both build flavors.
 //
 // Degenerate solver inputs are the cases most likely to make a *correct*
-// auditor fire spuriously -- zero total requests, all-masked sections,
+// auditor fire spuriously -- zero total requests, masked-out sections,
 // duplicate-minimum loads sitting exactly on the water level -- so each one
 // runs here with the auditor armed (in -DOLEV_AUDIT=ON builds) and must
 // complete with zero firings.  The plumbing tests (fail/handler/counter)
@@ -113,27 +113,6 @@ TEST(AuditDegenerate, ZeroTotalRequestAllSolvers) {
   const core::SectionCost* costs[] = {&cost, &cost, &cost};
   const auto generalized = core::generalized_fill(costs, b, olev::util::kw(0.0));
   EXPECT_EQ(generalized.row, std::vector<double>({0.0, 0.0, 0.0}));
-}
-
-TEST(AuditDegenerate, AllMaskedSectionsZeroTotal) {
-  AuditFiringGuard guard;
-  const std::vector<double> b{5.0, 6.0};
-  const std::vector<bool> none{false, false};
-  const WaterFillResult result = core::water_fill_masked(b, olev::util::kw(0.0), none);
-  EXPECT_EQ(result.row, std::vector<double>({0.0, 0.0}));
-  // Positive total with an empty mask is a *caller* error, not an invariant
-  // violation: invalid_argument, no auditor firing.
-  EXPECT_THROW((void)core::water_fill_masked(b, olev::util::kw(1.0), none), std::invalid_argument);
-}
-
-TEST(AuditDegenerate, SingleAdmissibleSectionTakesEverything) {
-  AuditFiringGuard guard;
-  const std::vector<double> b{9.0, 1.0, 7.0};
-  const std::vector<bool> only_middle{false, true, false};
-  const WaterFillResult result = core::water_fill_masked(b, olev::util::kw(4.0), only_middle);
-  EXPECT_DOUBLE_EQ(result.row[1], 4.0);
-  EXPECT_EQ(result.row[0], 0.0);
-  EXPECT_EQ(result.row[2], 0.0);
 }
 
 TEST(AuditDegenerate, DuplicateMinimumLoads) {

@@ -1,13 +1,24 @@
-#include "core/distributed.h"
+#include "svc/distributed.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
-namespace olev::core {
+namespace olev::svc {
 namespace {
+
+using core::Game;
+using core::GameResult;
+using core::LogSatisfaction;
+using core::NonlinearPricing;
+using core::OverloadCost;
+using core::PlayerSpec;
+using core::SectionCost;
 
 SectionCost make_cost(double cap = 40.0) {
   return SectionCost(std::make_unique<NonlinearPricing>(5.0, 0.875, cap),
@@ -34,9 +45,8 @@ GameResult reference_equilibrium(const std::vector<double>& weights,
 
 TEST(Distributed, ConvergesOnPerfectLink) {
   DistributedConfig config;
-  const DistributedResult result =
-      run_distributed_game(make_players({10.0, 20.0, 15.0}), make_cost(), 3,
-                           olev::util::kw(50.0), config);
+  const DistributedResult result = run_distributed_game(
+      make_players({10.0, 20.0, 15.0}), make_cost(), 3, config);
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.retransmissions, 0u);
   EXPECT_EQ(result.bus.dropped, 0u);
@@ -47,7 +57,7 @@ TEST(Distributed, MatchesInProcessEquilibrium) {
   const GameResult reference = reference_equilibrium(weights, 3);
   DistributedConfig config;
   const DistributedResult result =
-      run_distributed_game(make_players(weights), make_cost(), 3, olev::util::kw(50.0), config);
+      run_distributed_game(make_players(weights), make_cost(), 3, config);
   ASSERT_TRUE(result.converged);
   EXPECT_NEAR(result.schedule.max_abs_diff(reference.schedule), 0.0, 1e-4);
 }
@@ -59,7 +69,7 @@ TEST(Distributed, SurvivesMessageLoss) {
   config.link.drop_probability = 0.2;
   config.retransmit_timeout_s = 0.1;
   const DistributedResult result =
-      run_distributed_game(make_players(weights), make_cost(), 3, olev::util::kw(50.0), config);
+      run_distributed_game(make_players(weights), make_cost(), 3, config);
   ASSERT_TRUE(result.converged);
   EXPECT_GT(result.retransmissions, 0u);
   EXPECT_GT(result.bus.dropped, 0u);
@@ -73,7 +83,7 @@ TEST(Distributed, SurvivesHeavyLoss) {
   config.retransmit_timeout_s = 0.05;
   config.max_sim_time_s = 7200.0;
   const DistributedResult result = run_distributed_game(
-      make_players({10.0, 20.0}), make_cost(), 2, olev::util::kw(50.0), config);
+      make_players({10.0, 20.0}), make_cost(), 2, config);
   EXPECT_TRUE(result.converged);
 }
 
@@ -83,9 +93,9 @@ TEST(Distributed, LatencyOnlyDelaysConvergence) {
   DistributedConfig slow;
   slow.link.base_latency_s = 0.1;
   const auto quick = run_distributed_game(make_players({10.0, 20.0}),
-                                          make_cost(), 2, olev::util::kw(50.0), fast);
+                                          make_cost(), 2, fast);
   const auto tardy = run_distributed_game(make_players({10.0, 20.0}),
-                                          make_cost(), 2, olev::util::kw(50.0), slow);
+                                          make_cost(), 2, slow);
   ASSERT_TRUE(quick.converged);
   ASSERT_TRUE(tardy.converged);
   EXPECT_LT(quick.sim_time_s, tardy.sim_time_s);
@@ -96,7 +106,7 @@ TEST(Distributed, LatencyOnlyDelaysConvergence) {
 TEST(Distributed, SinglePlayer) {
   DistributedConfig config;
   const DistributedResult result =
-      run_distributed_game(make_players({10.0}), make_cost(), 2, olev::util::kw(50.0), config);
+      run_distributed_game(make_players({10.0}), make_cost(), 2, config);
   EXPECT_TRUE(result.converged);
   EXPECT_GT(result.schedule.row_total(0), 0.0);
 }
@@ -191,7 +201,7 @@ TEST(Distributed, HighJitterReorderingTolerated) {
   config.link.jitter_s = 0.2;  // 40x the base latency
   config.retransmit_timeout_s = 0.5;
   const DistributedResult result =
-      run_distributed_game(make_players(weights), make_cost(), 3, olev::util::kw(50.0), config);
+      run_distributed_game(make_players(weights), make_cost(), 3, config);
   ASSERT_TRUE(result.converged);
   EXPECT_NEAR(result.schedule.max_abs_diff(reference.schedule), 0.0, 1e-4);
 }
@@ -204,18 +214,83 @@ TEST(Distributed, LossAndJitterCombined) {
   config.retransmit_timeout_s = 0.12;
   config.max_sim_time_s = 7200.0;
   const DistributedResult result = run_distributed_game(
-      make_players({10.0, 20.0, 15.0, 9.0}), make_cost(), 3, olev::util::kw(50.0), config);
+      make_players({10.0, 20.0, 15.0, 9.0}), make_cost(), 3, config);
   EXPECT_TRUE(result.converged);
 }
 
 TEST(Distributed, BusTrafficAccounted) {
   DistributedConfig config;
   const DistributedResult result = run_distributed_game(
-      make_players({10.0, 20.0}), make_cost(), 2, olev::util::kw(50.0), config);
+      make_players({10.0, 20.0}), make_cost(), 2, config);
   // Every completed round needs announce + request + confirm >= 3 messages.
   EXPECT_GE(result.bus.sent, 3 * result.rounds);
   EXPECT_GT(result.bus.bytes_sent, 0u);
 }
 
+// Bit-exact pin of the bus driver's outputs.  FNV-1a 64 (the olev_replay
+// fold) over every 64-bit word of the result, little-endian byte order: any
+// drift in the grid-side arithmetic, the retransmission schedule or the bus
+// accounting changes the digest.
+class Fnv1a {
+ public:
+  void word(std::uint64_t value) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      hash_ ^= (value >> shift) & 0xffu;
+      hash_ *= 1099511628211ULL;
+    }
+  }
+  void real(double value) { word(std::bit_cast<std::uint64_t>(value)); }
+  void reals(std::span<const double> values) {
+    for (const double value : values) real(value);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 14695981039346656037ULL;
+};
+
+std::uint64_t digest(const DistributedResult& result) {
+  Fnv1a fold;
+  fold.reals(result.schedule.flat());
+  fold.reals(result.payments);
+  fold.word(result.converged ? 1u : 0u);
+  fold.word(result.rounds);
+  fold.word(result.retransmissions);
+  fold.real(result.sim_time_s);
+  fold.word(result.bus.sent);
+  fold.word(result.bus.dropped);
+  fold.word(result.bus.delivered);
+  fold.word(result.bus.bytes_sent);
+  fold.word(result.bus.bytes_delivered);
+  return fold.value();
+}
+
+TEST(DistributedDigest, LossAndJitterPinned) {
+  DistributedConfig config;
+  config.link.drop_probability = 0.2;
+  config.link.jitter_s = 0.05;
+  config.retransmit_timeout_s = 0.1;
+  const DistributedResult result = run_distributed_game(
+      make_players({10.0, 20.0, 15.0, 9.0}), make_cost(), 4, config);
+  ASSERT_TRUE(result.converged);
+  ASSERT_GT(result.retransmissions, 0u);
+  EXPECT_EQ(digest(result), 0x8e943f9c4147e147ULL);
+}
+
+TEST(DistributedDigest, GreedyV2ISessionPinned) {
+  const std::vector<double> weights{40.0, 10.0, 10.0};
+  std::vector<AgentProfile> profiles(weights.size());
+  profiles[0].claim_factor = 10.0;
+  DistributedConfig config;
+  config.link.drop_probability = 0.1;
+  config.retransmit_timeout_s = 0.1;
+  const DistributedResult result = run_v2i_session(
+      make_players(weights, 1e6), profiles, make_cost(), 3, config);
+  ASSERT_TRUE(result.converged);
+  EXPECT_LT(result.schedule.row_total(0),
+            profiles[0].admission_cap_kw() + 1e-6);
+  EXPECT_EQ(digest(result), 0x2b31d6f1ba6f8a2dULL);
+}
+
 }  // namespace
-}  // namespace olev::core
+}  // namespace olev::svc

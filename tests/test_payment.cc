@@ -117,15 +117,6 @@ TEST(PaymentDerivative, IncreasingInTotal) {
   }
 }
 
-TEST(QuotePayment, ConsistentWithComponents) {
-  const SectionCost z = make_cost();
-  const std::vector<double> b{6.0, 1.0, 3.0};
-  const PaymentQuote quote = quote_payment(z, b, olev::util::kw(7.0));
-  EXPECT_NEAR(quote.payment, payment_of_total(z, b, olev::util::kw(7.0)), 1e-12);
-  EXPECT_NEAR(quote.payment, externality_payment(z, b, quote.allocation.row),
-              1e-12);
-}
-
 TEST(PaymentOfTotal, WaterFilledSplitIsCheapestSplit) {
   // Eq. (11): the announced payment is the minimum externality over all
   // feasible splits of the same total.

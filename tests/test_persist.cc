@@ -16,12 +16,12 @@
 
 #include "core/best_response.h"
 #include "core/cost.h"
-#include "core/distributed.h"
 #include "core/satisfaction.h"
 #include "net/message.h"
 #include "persist/codec.h"
 #include "persist/journal.h"
 #include "svc/client.h"
+#include "svc/distributed.h"
 #include "svc/engine.h"
 #include "svc/loadgen.h"
 #include "svc/service.h"
@@ -674,8 +674,8 @@ TEST(Persist, InterruptedGridPacedGameResumesToTheSameFixedPoint) {
     player.p_max = util::kw(200.0);
     players.push_back(std::move(player));
   }
-  const core::DistributedResult reference = core::run_distributed_game(
-      std::move(players), make_cost(), 3, util::kw(50.0));
+  const svc::DistributedResult reference =
+      svc::run_distributed_game(std::move(players), make_cost(), 3);
   ASSERT_TRUE(reference.converged);
 
   TempPath snap("grid_paced_resume.bin");

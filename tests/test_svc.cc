@@ -13,10 +13,10 @@
 #include <vector>
 
 #include "core/best_response.h"
-#include "core/distributed.h"
 #include "core/satisfaction.h"
 #include "net/message.h"
 #include "svc/client.h"
+#include "svc/distributed.h"
 #include "svc/frame.h"
 #include "svc/loadgen.h"
 
@@ -402,8 +402,8 @@ TEST(Service, GridPacedSessionMatchesDistributedDriverBitExactly) {
     player.p_max = util::kw(200.0);
     players.push_back(std::move(player));
   }
-  const core::DistributedResult reference = core::run_distributed_game(
-      std::move(players), make_cost(), 3, util::kw(50.0));
+  const svc::DistributedResult reference =
+      svc::run_distributed_game(std::move(players), make_cost(), 3);
   ASSERT_TRUE(reference.converged);
 
   // Served: same game, grid-paced announcements over real sockets.

@@ -12,7 +12,9 @@
 # no exact float equality, [[nodiscard]] solver entry points, no raw
 # chrono-clock reads outside src/obs, no socket-API use outside src/svc,
 # no raw std::mutex/condition_variable outside src/util/sync.h (R6), no
-# raw file I/O outside src/persist and the obs sinks (R8) --
+# raw stdout/stderr prints outside src/obs (R7), no raw file I/O outside
+# src/persist and the obs sinks (R8), no svc/ include outside src/svc and
+# no net/ or persist/ include in src/core (R9) --
 # plus the trace-checker self-test
 # (tools/check_trace.py), so a dead validator cannot rubber-stamp traces.
 # Pure Python, runs everywhere.

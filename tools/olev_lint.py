@@ -2,8 +2,8 @@
 """Domain linter for the pricing core's dimensional-analysis contract.
 
 Pure stdlib + regex so it runs anywhere Python 3 does (the CI containers
-have no clang tooling guarantee).  Three rules, each encoding a convention
-that util/quantity.h makes checkable but cannot enforce by itself:
+have no clang tooling guarantee).  Each rule encodes a convention the
+compiler makes checkable but cannot enforce by itself:
 
   R1 raw-quantity-param   Public headers of src/core, src/grid and src/wpt
                           must not declare a function parameter of raw
@@ -62,14 +62,14 @@ that util/quantity.h makes checkable but cannot enforce by itself:
   R7 raw-print            Library code under src/ must not write diagnostics
                           to stdout/stderr directly (printf, fprintf, puts,
                           std::cout, std::cerr, ...): ad-hoc prints bypass
-                          the log levels of util/log.h and corrupt the
-                          stdout protocol of the operational binaries (the
-                          olevd ready line is scraped by CI).  src/obs is
-                          exempt (it IS the reporting layer: EnvSession's
-                          exit summaries), as is src/util/log.cc (the log
-                          sink).  snprintf-style formatting into buffers
-                          stays legal.  Tools/examples/bench keep printing:
-                          they are the user-facing surface.
+                          the obs reporting layer and corrupt the stdout
+                          protocol of the operational binaries (the olevd
+                          ready line is scraped by CI).  src/obs is the one
+                          exempt directory (it IS the reporting layer:
+                          EnvSession's exit summaries).  snprintf-style
+                          formatting into buffers stays legal.
+                          Tools/examples/bench keep printing: they are the
+                          user-facing surface.
 
   R8 raw-file-io          Data-path file I/O (std::ofstream/ifstream/
                           fstream/filebuf, fopen/freopen/tmpfile, ::open)
@@ -86,6 +86,13 @@ that util/quantity.h makes checkable but cannot enforce by itself:
                           human-readable text planes, not durable state.
                           Tools/examples/bench stay free to touch files:
                           they are the user-facing surface.
+
+  R9 include-layering     Under src/, only src/svc may include "svc/..."
+                          headers, and src/core may include nothing from
+                          "net/" or "persist/": the pricing core links no
+                          transport and no durable-state code, and the
+                          serving layer sits on top of core, net and
+                          persist with nothing in the library above it.
 
 The behavioral rules (R2 float-equality, R4 raw-clock, R5 raw-socket,
 R6 raw-sync) additionally sweep the runnable surface outside src/: every
@@ -186,7 +193,6 @@ R6_SYNC = re.compile(
 # match the tail of snprintf/sprintf/vsnprintf (no word boundary after a
 # word character), so buffer formatting stays legal by construction.
 PRINT_EXEMPT_PREFIX = "src/obs/"
-PRINT_EXEMPT_FILES = {"src/util/log.cc"}
 R7_PRINT = re.compile(
     r"\bstd\s*::\s*(?:cout|cerr|clog)\b"
     r"|\b(?:std\s*::\s*)?(?:printf|fprintf|vfprintf|puts|fputs|putchar"
@@ -204,6 +210,11 @@ R8_FILE_IO = re.compile(
     r"|\b(?:std\s*::\s*)?(?:fopen|freopen|tmpfile)\s*\("
     r"|(?<![\w>])::\s*open(?:at)?\s*\("
 )
+
+# R9: include layering.  Only src/svc builds on svc/; src/core links no
+# transport (net/) and no durable-state code (persist/).
+R9_INCLUDE = re.compile(r'#\s*include\s*"(\w+)/')
+CORE_FORBIDDEN_LAYERS = ("net", "persist")
 
 COMMENT = re.compile(r"//.*$")
 
@@ -331,8 +342,8 @@ def lint_raw_sync(path: str, text: str) -> list[Finding]:
 
 
 def lint_raw_print(path: str, text: str) -> list[Finding]:
-    if path.startswith(PRINT_EXEMPT_PREFIX) or path in PRINT_EXEMPT_FILES:
-        return []  # the reporting layer and the log sink
+    if path.startswith(PRINT_EXEMPT_PREFIX):
+        return []  # the reporting layer
     findings = []
     for number, line in enumerate(text.splitlines(), start=1):
         code = strip_comment(line)
@@ -344,9 +355,8 @@ def lint_raw_print(path: str, text: str) -> list[Finding]:
                     path,
                     number,
                     f"direct diagnostic '{match.group(0).strip()}' in library "
-                    "code; log through util/log.h or report through src/obs "
-                    "(ad-hoc prints bypass log levels and corrupt tool "
-                    "stdout protocols)",
+                    "code; report through src/obs (ad-hoc prints corrupt "
+                    "tool stdout protocols)",
                 )
             )
     return findings
@@ -369,6 +379,30 @@ def lint_raw_file_io(path: str, text: str) -> list[Finding]:
                     "src/persist; durable artifacts must go through the "
                     "persist codec (versioned, checksummed, atomic "
                     "tmp+rename -- docs/PERSISTENCE.md) or an obs sink",
+                )
+            )
+    return findings
+
+
+def lint_include_layering(path: str, text: str) -> list[Finding]:
+    findings = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        match = R9_INCLUDE.search(strip_comment(line))
+        if not match:
+            continue
+        layer = match.group(1)
+        if (layer == "svc" and not path.startswith("src/svc/")) or (
+            layer in CORE_FORBIDDEN_LAYERS and path.startswith("src/core/")
+        ):
+            findings.append(
+                Finding(
+                    "include-layering",
+                    path,
+                    number,
+                    f'"{layer}/" header included from '
+                    f"{path.rsplit('/', 1)[0]}; src/core stays free of "
+                    "net/ and persist/, and only src/svc builds on svc/ "
+                    "(docs/ANALYSIS.md)",
                 )
             )
     return findings
@@ -461,6 +495,7 @@ def run_lint(root: pathlib.Path) -> list[Finding]:
         findings.extend(lint_raw_sync(rel, text))
         findings.extend(lint_raw_print(rel, text))
         findings.extend(lint_raw_file_io(rel, text))
+        findings.extend(lint_include_layering(rel, text))
     for source in tools:
         rel = source.relative_to(root).as_posix()
         findings.extend(lint_raw_sync(rel, source.read_text()))
@@ -690,12 +725,6 @@ SELF_TESTS = [
     ),
     (
         lint_raw_print,
-        "src/util/log.cc",
-        'std::cerr << "[olev] " << message;\n',
-        False,  # the log sink itself
-    ),
-    (
-        lint_raw_print,
         "src/core/fake.cc",
         "// std::cout << schedule; -- debugging leftover, commented\n",
         False,
@@ -749,6 +778,36 @@ SELF_TESTS = [
         False,
     ),
     (
+        lint_include_layering,
+        "src/persist/snapshot.h",
+        '#include "svc/engine.h"\n',
+        True,  # only the serving layer may depend on svc
+    ),
+    (
+        lint_include_layering,
+        "src/core/game.cc",
+        '#include "net/bus.h"\n',
+        True,  # the pricing core links no transport
+    ),
+    (
+        lint_include_layering,
+        "src/core/game.cc",
+        '#include "persist/codec.h"\n',
+        True,  # ... and no durable-state code
+    ),
+    (
+        lint_include_layering,
+        "src/svc/distributed.cc",
+        '#include "core/game.h"\n#include "net/bus.h"\n#include "svc/engine.h"\n',
+        False,  # svc sits on top of everything
+    ),
+    (
+        lint_include_layering,
+        "src/core/game.cc",
+        '#include "core/schedule.h"\n// #include "net/bus.h" -- commented\n',
+        False,
+    ),
+    (
         lint_nodiscard_solvers,
         "src/core/central.h",
         "CentralResult maximize_welfare(std::span<const double> p_max);\n",
@@ -798,7 +857,7 @@ def main() -> int:
     print(
         f"olev_lint: clean ({len(headers)} public headers, "
         f"{len(sources)} files swept for float equality, "
-        f"{len(swept)} for raw sockets/sync/prints/file-io, "
+        f"{len(swept)} for raw sockets/sync/prints/file-io/layering, "
         f"{len(tools)} tool binaries, "
         f"{len(extras)} examples/bench files)"
     )
