@@ -10,12 +10,10 @@
 
 #include "bench_util.h"
 
-#include "core/hetero_game.h"
 #include "core/scenario.h"
 #include "core/sweep.h"
 #include "util/csv.h"
 #include "util/units.h"
-#include "wpt/charging_section.h"
 
 namespace {
 
@@ -154,51 +152,5 @@ int main() {
                  "headroom.\n\n";
   }
 
-  std::cout << "=== Ablation 5: heterogeneous corridor (mixed speed limits) "
-               "===\n";
-  {
-    // Three section groups on roads with different speed limits: Eq. (1)
-    // gives each a different P_line and hence a different cost curve.  The
-    // generalized game equalizes *marginal prices*, not loads.
-    const double beta = 16.0;
-    wpt::ChargingSectionSpec spec;
-    const double speeds_mph[] = {30.0, 45.0, 60.0};
-    std::vector<core::SectionCost> costs;
-    std::vector<double> p_lines;
-    for (double mph : speeds_mph) {
-      const double p_line = wpt::p_line_kw(spec, util::to_mps(util::mph(mph)));
-      const double cap = 0.9 * p_line;
-      costs.emplace_back(core::paper_nonlinear_pricing(olev::util::Price::per_mwh(beta), 0.875, olev::util::kw(cap)),
-                         core::OverloadCost{25.0 * beta / 1000.0 / p_line},
-                         olev::util::kw(cap));
-      p_lines.push_back(p_line);
-    }
-    std::vector<core::PlayerSpec> players;
-    for (double w : {0.9, 1.1, 1.0, 1.2, 0.8}) {
-      core::PlayerSpec player;
-      player.satisfaction = std::make_unique<core::LogSatisfaction>(
-          w * costs[2].derivative(30.0) * 60.0);
-      player.p_max = olev::util::kw(60.0);
-      players.push_back(std::move(player));
-    }
-    core::HeteroGame game(std::move(players), costs, p_lines);
-    const auto result = game.run();
-
-    util::Table table({"speed_mph", "P_line_kW", "load_kW", "degree",
-                       "marginal_$per_MWh"});
-    for (std::size_t c = 0; c < 3; ++c) {
-      const double load = result.schedule.column_total(c);
-      table.add_row_numeric({speeds_mph[c], p_lines[c], load,
-                             load / p_lines[c],
-                             1000.0 * result.marginal_prices[c]},
-                            2);
-    }
-    bench::emit(table, "ablation_heterogeneous");
-    std::cout << (result.converged ? "converged" : "DID NOT CONVERGE")
-              << ": slower roads (higher P_line) absorb more power, but the\n"
-                 "marginal price column is flat -- the generalized KKT\n"
-                 "condition, vs. the uniform case where flat *loads* are\n"
-                 "optimal.\n";
-  }
   return 0;
 }

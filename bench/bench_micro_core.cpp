@@ -65,20 +65,6 @@ void BM_WaterFillPresorted(benchmark::State& state) {
 }
 BENCHMARK(BM_WaterFillPresorted)->Arg(10)->Arg(100)->Arg(1000);
 
-void BM_SortedLoadsUpdateOne(benchmark::State& state) {
-  // Single-entry refresh: O(C) memmove instead of an O(C log C) re-sort.
-  const auto loads = random_loads(static_cast<std::size_t>(state.range(0)), 1);
-  core::SortedLoads sorted(loads);
-  util::Rng rng(11);
-  for (auto _ : state) {
-    const auto index = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(loads.size()) - 1));
-    sorted.update_one(index, rng.uniform(0.0, 50.0));
-    benchmark::DoNotOptimize(sorted.level_for(olev::util::kw(100.0)));
-  }
-}
-BENCHMARK(BM_SortedLoadsUpdateOne)->Arg(100)->Arg(1000);
-
 void BM_PaymentOfTotal(benchmark::State& state) {
   const auto loads = random_loads(static_cast<std::size_t>(state.range(0)), 2);
   const core::SectionCost z = make_cost();
@@ -153,24 +139,6 @@ void BM_BusSendPoll(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BusSendPoll);
-
-void BM_GeneralizedFill(benchmark::State& state) {
-  const auto sections = static_cast<std::size_t>(state.range(0));
-  std::vector<core::SectionCost> costs;
-  util::Rng rng(5);
-  for (std::size_t c = 0; c < sections; ++c) {
-    const double cap = rng.uniform(20.0, 80.0);
-    costs.emplace_back(std::make_unique<core::NonlinearPricing>(5.0, 0.875, cap),
-                       core::OverloadCost{1.0}, olev::util::kw(cap));
-  }
-  std::vector<const core::SectionCost*> pointers;
-  for (const auto& cost : costs) pointers.push_back(&cost);
-  const auto loads = random_loads(sections, 6);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::generalized_fill(pointers, loads, olev::util::kw(60.0)));
-  }
-}
-BENCHMARK(BM_GeneralizedFill)->Arg(10)->Arg(100);
 
 void BM_StackelbergSolve(benchmark::State& state) {
   util::Rng rng(8);

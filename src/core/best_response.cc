@@ -33,28 +33,19 @@ obs::Histogram& g_obs_iterations = obs::Registry::instance().histogram(
 #endif
 
 double utility_derivative(const Satisfaction& u, const SectionCost& z,
-                          std::span<const double> others_load, Kilowatts p) {
-  return u.derivative(p.value()) - payment_derivative(z, others_load, p);
-}
-
-double utility_derivative(const Satisfaction& u, const SectionCost& z,
                           const SortedLoads& others_load, Kilowatts p) {
   return u.derivative(p.value()) - payment_derivative(z, others_load, p);
 }
 
 BestResponse best_response(const Satisfaction& u, const SectionCost& z,
-                           std::span<const double> others_load, Kilowatts p_max,
-                           const BestResponseOptions& options) {
-  return best_response(u, z, SortedLoads(others_load), p_max, options);
-}
-
-BestResponse best_response(const Satisfaction& u, const SectionCost& z,
-                           const SortedLoads& others_load, Kilowatts p_max_kw,
+                           std::span<const double> others_load,
+                           Kilowatts p_max_kw,
                            const BestResponseOptions& options) {
   BestResponse response;
   response.allocation.row.resize(others_load.size());
-  const BestResponseScalars scalars = best_response_into(
-      u, z, others_load, p_max_kw, response.allocation.row, options);
+  const BestResponseScalars scalars =
+      best_response_into(u, z, SortedLoads(others_load), p_max_kw,
+                         response.allocation.row, options);
   response.p_star = scalars.p_star;
   response.allocation.level = scalars.level;
   response.allocation.active_sections = scalars.active_sections;

@@ -34,17 +34,10 @@ struct BestResponseOptions {
 };
 
 /// Solves Lemma IV.3 for one player.  `p_max` is P_OLEV_n (Eq. 2-3);
-/// `others_load` is b.  Requires a strictly convex section cost.
+/// `others_load` is b.  Requires a strictly convex section cost.  Sorts b
+/// once, so every bisection step finds the water level in O(log C).
 [[nodiscard]] BestResponse best_response(const Satisfaction& u, const SectionCost& z,
                                          std::span<const double> others_load,
-                                         Kilowatts p_max,
-                                         const BestResponseOptions& options = {});
-
-/// Hot-path variant against a pre-sorted b.  b is sorted once by the caller;
-/// every bisection step then finds the water level in O(log C) instead of
-/// O(C log C).  Bit-identical to the span overload (which delegates here).
-[[nodiscard]] BestResponse best_response(const Satisfaction& u, const SectionCost& z,
-                                         const SortedLoads& others_load,
                                          Kilowatts p_max,
                                          const BestResponseOptions& options = {});
 
@@ -62,17 +55,14 @@ struct BestResponseScalars {
 
 /// Real-time core of the solver (util/hot.h): writes the row allocation at
 /// p* into `row` (length must equal others_load.size()) and never touches
-/// the allocator.  The SortedLoads overload of best_response delegates here,
-/// so results are bit-identical.
+/// the allocator.  best_response delegates here, so results are
+/// bit-identical.
 [[nodiscard]] OLEV_HOT BestResponseScalars best_response_into(
     const Satisfaction& u, const SectionCost& z,
     const SortedLoads& others_load, Kilowatts p_max, std::span<double> row,
     const BestResponseOptions& options = {});
 
 /// F'_n(p): marginal utility of requesting one more unit of power.
-[[nodiscard]] double utility_derivative(const Satisfaction& u, const SectionCost& z,
-                                        std::span<const double> others_load,
-                                        Kilowatts p);
 [[nodiscard]] double utility_derivative(const Satisfaction& u, const SectionCost& z,
                                         const SortedLoads& others_load,
                                         Kilowatts p);

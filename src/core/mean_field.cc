@@ -24,35 +24,6 @@ OLEV_RT_VCALL_OK("olev::core::MeanFieldGame::welfare_at",
                  "Satisfaction dispatch; every override is a registered hot "
                  "root");
 
-FieldHistogram field_histogram(std::span<const double> loads,
-                               std::size_t buckets) {
-  if (buckets == 0) {
-    throw std::invalid_argument("field_histogram: need at least one bucket");
-  }
-  FieldHistogram histogram;
-  if (loads.empty()) return histogram;
-  const auto [min_it, max_it] = std::minmax_element(loads.begin(), loads.end());
-  histogram.min_load = *min_it;
-  histogram.max_load = *max_it;
-  const double width = (histogram.max_load - histogram.min_load) /
-                       static_cast<double>(buckets);
-  histogram.lower_bounds.resize(buckets);
-  histogram.counts.assign(buckets, 0);
-  for (std::size_t i = 0; i < buckets; ++i) {
-    histogram.lower_bounds[i] =
-        histogram.min_load + width * static_cast<double>(i);
-  }
-  for (double load : loads) {
-    std::size_t bucket =
-        width > 0.0
-            ? static_cast<std::size_t>((load - histogram.min_load) / width)
-            : 0;
-    if (bucket >= buckets) bucket = buckets - 1;  // max load lands in the top bucket
-    ++histogram.counts[bucket];
-  }
-  return histogram;
-}
-
 MeanFieldGame::MeanFieldGame(std::vector<PlayerSpec> players, SectionCost cost,
                              std::size_t sections, util::Kilowatts p_line,
                              MeanFieldConfig config)

@@ -42,7 +42,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "core/game.h"
@@ -64,21 +63,6 @@ struct MeanFieldConfig {
   /// a genuine distribution rather than a single level.
   std::vector<double> background_load_kw;
 };
-
-/// Compressed view of the per-section load distribution: count of sections
-/// whose load falls in [lower_bounds[i], lower_bounds[i+1]).  The histogram
-/// is the "mean field" the representative player prices against, exposed
-/// for reporting and tests.
-struct FieldHistogram {
-  std::vector<double> lower_bounds;  ///< bucket lower edges, ascending (kW)
-  std::vector<std::size_t> counts;   ///< same length as lower_bounds
-  double min_load = 0.0;
-  double max_load = 0.0;
-};
-
-/// Buckets `loads` into `buckets` equal-width bins over [min, max].
-[[nodiscard]] FieldHistogram field_histogram(std::span<const double> loads,
-                                             std::size_t buckets = 16);
 
 struct MeanFieldResult {
   bool converged = false;

@@ -37,12 +37,8 @@ namespace olev::core {
                                         std::span<const double> others_load,
                                         Kilowatts total);
 
-/// Hot-path variants against a pre-sorted b: the water level costs O(log C)
-/// instead of O(C log C) per evaluation.  Results are bit-identical to the
-/// span overloads.
-[[nodiscard]] double payment_of_total(const SectionCost& z,
-                                      const SortedLoads& others_load,
-                                      Kilowatts total);
+/// Hot-path variant against a pre-sorted b: the water level costs O(log C)
+/// instead of O(C log C) per evaluation.  Bit-identical to the span overload.
 [[nodiscard]] double payment_derivative(const SectionCost& z,
                                         const SortedLoads& others_load,
                                         Kilowatts total);

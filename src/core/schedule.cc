@@ -28,11 +28,6 @@ void PowerSchedule::set_row(std::size_t n, std::span<const double> values) {
   std::copy(values.begin(), values.end(), data_.begin() + n * sections_);
 }
 
-void PowerSchedule::zero_row(std::size_t n) {
-  if (n >= players_) throw std::out_of_range("PowerSchedule::zero_row");
-  std::fill_n(data_.begin() + n * sections_, sections_, 0.0);
-}
-
 double PowerSchedule::row_total(std::size_t n) const {
   double sum = 0.0;
   for (double v : row(n)) sum += v;

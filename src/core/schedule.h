@@ -24,7 +24,6 @@ class PowerSchedule {
 
   OLEV_HOT std::span<const double> row(std::size_t n) const;
   OLEV_HOT void set_row(std::size_t n, std::span<const double> values);
-  void zero_row(std::size_t n);
 
   /// p_n = sum_c p[n][c].
   double row_total(std::size_t n) const;

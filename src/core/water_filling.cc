@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
-#include "core/cost.h"
 #include "obs/obs.h"
 #include "util/audit.h"
 #include "util/hot.h"
@@ -16,7 +14,6 @@ namespace olev::core {
 // members of SortedLoads and the volume evaluator are the allocation-free
 // water-filling kernel the serving path leans on.
 OLEV_HOT_ROOT("olev::core::SortedLoads::reassign");
-OLEV_HOT_ROOT("olev::core::SortedLoads::update_one");
 OLEV_HOT_ROOT("olev::core::SortedLoads::level_for");
 OLEV_HOT_ROOT("olev::core::SortedLoads::fill_into");
 OLEV_HOT_ROOT("olev::core::water_fill_volume");
@@ -29,7 +26,7 @@ namespace {
 // sums back to the request, and satisfies water-level complementarity --
 // loaded sections sit exactly at the level, untouched sections at or above
 // it.  `tol` is relative (see audit::close); the exact solver passes 1e-9,
-// the bisection solvers pass a band derived from their own tolerance.
+// the bisection solver passes a band derived from its own tolerance.
 // Opens a HotBypass: the checks below format strings, and fill_into runs
 // them inside armed hot regions in audit builds.
 void audit_fill(std::span<const double> others_load, double total,
@@ -150,48 +147,9 @@ void SortedLoads::reassign(std::span<const double> others_load) {
   std::copy(others_load.begin(), others_load.end(), values_.begin());
   std::copy(others_load.begin(), others_load.end(), sorted_.begin());
   std::sort(sorted_.begin(), sorted_.begin() + static_cast<std::ptrdiff_t>(size_));
-  rebuild_prefix(0);
-}
-
-void SortedLoads::rebuild_prefix(std::size_t from) {
   prefix_[0] = 0.0;
-  for (std::size_t k = std::max<std::size_t>(from, 1); k <= size_; ++k) {
+  for (std::size_t k = 1; k <= size_; ++k) {
     prefix_[k] = prefix_[k - 1] + sorted_[k - 1];
-  }
-}
-
-void SortedLoads::update_one(std::size_t index, double new_value) {
-  if (index >= size_) {
-    util::hot_fail_out_of_range("SortedLoads::update_one");
-  }
-  const double old_value = values_[index];
-  if (old_value == new_value) return;
-  values_[index] = new_value;
-  // Remove one copy of the old value and re-insert the new one by shifting
-  // the run between the two sorted positions -- the in-place equivalent of
-  // vector erase + insert (equal doubles are interchangeable, so which
-  // duplicate moves does not matter; the resulting array and prefix sums
-  // are element-for-element identical).
-  double* const first = sorted_.data();
-  double* const last = first + size_;
-  const std::size_t erased = static_cast<std::size_t>(
-      std::lower_bound(first, last, old_value) - first);
-  if (new_value > old_value) {
-    std::size_t i = erased;
-    while (i + 1 < size_ && first[i + 1] < new_value) {
-      first[i] = first[i + 1];
-      ++i;
-    }
-    first[i] = new_value;
-    rebuild_prefix(erased);
-  } else {
-    std::size_t i = erased;
-    while (i > 0 && first[i - 1] > new_value) {
-      first[i] = first[i - 1];
-      --i;
-    }
-    first[i] = new_value;
-    rebuild_prefix(i);
   }
 }
 
@@ -318,118 +276,6 @@ WaterFillResult water_fill_bisect(std::span<const double> others_load,
   OLEV_AUDIT_ONLY(audit_fill(others_load, total, result.row, result.level,
                              std::max(1e-9, 10.0 * tolerance),
                              "water_fill_bisect");)
-  return result;
-}
-
-GeneralizedFillResult generalized_fill(
-    std::span<const SectionCost* const> section_costs,
-    std::span<const double> others_load, Kilowatts total_kw,
-    double tolerance) {
-  const double total = total_kw.value();
-  if (section_costs.size() != others_load.size() || section_costs.empty()) {
-    throw std::invalid_argument("generalized_fill: shape mismatch or empty");
-  }
-  for (const SectionCost* cost : section_costs) {
-    if (cost == nullptr || !cost->strictly_convex()) {
-      throw std::invalid_argument(
-          "generalized_fill: every section needs a strictly convex cost");
-    }
-  }
-  if (total < 0.0) throw std::invalid_argument("generalized_fill: negative total");
-
-  GeneralizedFillResult result;
-  result.row.assign(others_load.size(), 0.0);
-
-  // Allocation at a trial marginal price rho.
-  auto allocation_at = [&](double rho, std::vector<double>* row) {
-    double sum = 0.0;
-    for (std::size_t c = 0; c < section_costs.size(); ++c) {
-      const double target = section_costs[c]->derivative_inverse(rho);
-      const double fill = std::max(0.0, target - others_load[c]);
-      if (row != nullptr) (*row)[c] = fill;
-      sum += fill;
-    }
-    return sum;
-  };
-
-  // rho must exceed the smallest marginal price at the current loads for
-  // any allocation to be positive.
-  double lo = std::numeric_limits<double>::infinity();
-  for (std::size_t c = 0; c < section_costs.size(); ++c) {
-    lo = std::min(lo, section_costs[c]->derivative(others_load[c]));
-  }
-  if (total == 0.0) {
-    result.marginal = lo;
-    return result;
-  }
-  double hi = lo + 1.0;
-  int guard = 0;
-  while (allocation_at(hi, nullptr) < total && guard++ < 200) {
-    hi = lo + (hi - lo) * 2.0;
-  }
-  int iterations = 0;
-  while (hi - lo > tolerance * std::max(1.0, hi) && iterations < 200) {
-    const double mid = 0.5 * (lo + hi);
-    if (allocation_at(mid, nullptr) < total) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-    ++iterations;
-  }
-  result.marginal = 0.5 * (lo + hi);
-  result.iterations = iterations;
-  allocation_at(result.marginal, &result.row);
-  // Scale out the bisection dust.
-  double sum = 0.0;
-  for (double v : result.row) sum += v;
-  if (sum > 0.0) {
-    const double scale = total / sum;
-    for (double& v : result.row) v *= scale;
-  }
-  for (double v : result.row) {
-    if (v > 0.0) ++result.active_sections;
-  }
-#if OLEV_AUDIT_ENABLED
-  {
-    // Heterogeneous KKT contract: loaded sections equalize marginal cost at
-    // rho*, idle sections already price at or above it; the row conserves
-    // the request.  The band is wider than the homogeneous case because the
-    // allocation passes through derivative_inverse (its own bisection).
-    namespace audit = util::audit;
-    const double band = std::max(1e-6, 10.0 * tolerance);
-    double audit_sum = 0.0;
-    for (std::size_t c = 0; c < result.row.size(); ++c) {
-      const double fill = result.row[c];
-      OLEV_AUDIT_FINITE(fill, "generalized_fill: row[" + std::to_string(c) + "]");
-      OLEV_AUDIT_CHECK(fill >= 0.0,
-                       "generalized_fill: negative allocation on section " +
-                           std::to_string(c));
-      audit_sum += fill;
-      const double marginal_here =
-          section_costs[c]->derivative(others_load[c] + fill);
-      if (fill > 0.0) {
-        OLEV_AUDIT_CHECK(
-            audit::close(marginal_here, result.marginal, band),
-            "generalized_fill: loaded section " + std::to_string(c) +
-                " off the marginal price: Z'=" + std::to_string(marginal_here) +
-                " rho*=" + std::to_string(result.marginal));
-      } else {
-        OLEV_AUDIT_CHECK(
-            marginal_here >=
-                result.marginal -
-                    band * std::max(1.0, std::abs(result.marginal)),
-            "generalized_fill: idle section " + std::to_string(c) +
-                " priced below rho*: Z'=" + std::to_string(marginal_here) +
-                " rho*=" + std::to_string(result.marginal));
-      }
-    }
-    OLEV_AUDIT_CHECK(audit::close(audit_sum, total, std::max(1e-9, tolerance)),
-                     "generalized_fill: allocation sums to " +
-                         std::to_string(audit_sum) + ", request was " +
-                         std::to_string(total));
-  }
-#endif
   return result;
 }
 

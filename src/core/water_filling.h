@@ -58,17 +58,15 @@ struct WaterFillResult {
 /// the sorted loads, and answers
 ///   - level_for(total) in O(log C)  (binary search over the active count),
 ///   - fill_into(...)   in O(C)      (one pass into a caller buffer, no
-///                                    allocation),
-///   - update_one(...)  in O(C)      (in-place shift instead of a full
-///                                    re-sort when a single entry of b moved).
+///                                    allocation).
 /// All of them reproduce water_fill()'s arithmetic exactly -- same fold-left
 /// summation order, same level formula -- so results are bit-identical to
 /// the one-shot solver (property-tested).
 ///
 /// Real-time discipline (util/hot.h): the query/update members are hot roots
 /// of the static allocation wall.  Storage is sized by the cold members
-/// (assign / reserve); reassign and update_one then run against the reserved
-/// capacity without touching the allocator.
+/// (assign / reserve); reassign then runs against the reserved capacity
+/// without touching the allocator.
 class SortedLoads {
  public:
   SortedLoads() = default;
@@ -83,9 +81,6 @@ class SortedLoads {
   /// Re-seeds from a fresh b within previously reserved storage.  Hot: never
   /// allocates; fails (cold throw) if b exceeds the reserved capacity.
   void reassign(std::span<const double> others_load);
-  /// Replaces b[index] with new_value, repositioning it in the sorted order
-  /// with an in-place shift.  Hot: never allocates.  O(C) worst case.
-  OLEV_HOT void update_one(std::size_t index, double new_value);
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -103,8 +98,6 @@ class SortedLoads {
                             int* active_sections = nullptr) const;
 
  private:
-  void rebuild_prefix(std::size_t from);
-
   // Physical capacity is values_.size() (== sorted_.size(), and
   // prefix_.size() == capacity + 1); the live prefix is [0, size_).
   std::vector<double> values_;  ///< original order
@@ -112,30 +105,5 @@ class SortedLoads {
   std::vector<double> prefix_;  ///< prefix_[k] = fold-left sum of sorted_[0..k)
   std::size_t size_ = 0;
 };
-
-/// Generalized water-filling for *heterogeneous* sections.
-///
-/// The paper assumes one Z for every section, which reduces the KKT
-/// condition Z'(b_c + p_c) = rho to load equalization.  When sections have
-/// different cost curves Z_c (e.g. different safety caps because they sit
-/// on roads with different speed limits), the stationarity condition reads
-///
-///   Z_c'(b_c + p_{n,c}) = rho*   on sections with p_{n,c} > 0,
-///   p_{n,c} = [ (Z_c')^{-1}(rho*) - b_c ]^+  otherwise,
-///
-/// and the unique rho* is found by bisection on the (strictly increasing)
-/// total allocation.  With identical costs this reduces exactly to
-/// water_fill (tested).
-struct GeneralizedFillResult {
-  double marginal = 0.0;        ///< rho*
-  std::vector<double> row;
-  int active_sections = 0;
-  int iterations = 0;
-};
-class SectionCost;  // cost.h
-[[nodiscard]] GeneralizedFillResult generalized_fill(
-    std::span<const SectionCost* const> section_costs,
-    std::span<const double> others_load, Kilowatts total,
-    double tolerance = 1e-9);
 
 }  // namespace olev::core

@@ -486,9 +486,6 @@ void PricingService::run_batch(std::int64_t now_us) {
     phases.queue_us = phase_us(now_us - entry.admit_done_us);
     phases.batch_us = phase_us(solve_start_us - now_us);
     phases.solve_us = phase_us(solve_done_us - solve_start_us);
-    ++stats_.requests_served;
-    OLEV_OBS_COUNTER(served, "svc.requests.served");
-    OLEV_OBS_ADD(served, 1);
     OLEV_OBS_ONLY({
       if (latency_hist_ != nullptr) {
         latency_hist_->observe(
@@ -503,7 +500,13 @@ void PricingService::run_batch(std::int64_t now_us) {
         entry.round == announced_round_) {
       announce_answered_ = true;
     }
+    // A request whose session died while it queued is still applied (the
+    // journal recorded it, and olev_replay re-applies it), but it is not
+    // served: no reply is written.
     if (entry.session->dead) continue;
+    ++stats_.requests_served;
+    OLEV_OBS_COUNTER(served, "svc.requests.served");
+    OLEV_OBS_ADD(served, 1);
     net::ScheduleMsg confirmation;
     confirmation.player = entry.player;
     confirmation.round = entry.round;

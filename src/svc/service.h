@@ -134,7 +134,7 @@ struct ServiceStats {
   std::uint64_t malformed_frames = 0;
   std::uint64_t bad_requests = 0;
   std::uint64_t requests_received = 0;
-  std::uint64_t requests_served = 0;
+  std::uint64_t requests_served = 0;  ///< replies handed to a live session
   std::uint64_t retry_later = 0;
   std::uint64_t deadline_expired = 0;
   std::uint64_t drain_rejected = 0;

@@ -162,7 +162,7 @@ TEST(UtilityDerivative, MatchesComponents) {
   LogSatisfaction u(10.0);
   const std::vector<double> b{2.0, 4.0};
   for (double p : {0.0, 1.0, 10.0}) {
-    EXPECT_NEAR(utility_derivative(u, z, b, olev::util::kw(p)),
+    EXPECT_NEAR(utility_derivative(u, z, SortedLoads(b), olev::util::kw(p)),
                 u.derivative(p) - payment_derivative(z, b, olev::util::kw(p)), 1e-12);
   }
 }

@@ -47,14 +47,6 @@ TEST(PowerSchedule, SetRowValidatesShape) {
   EXPECT_THROW(schedule.row(5), std::out_of_range);
 }
 
-TEST(PowerSchedule, ZeroRow) {
-  PowerSchedule schedule(1, 2);
-  const std::vector<double> row{4.0, 5.0};
-  schedule.set_row(0, row);
-  schedule.zero_row(0);
-  EXPECT_DOUBLE_EQ(schedule.row_total(0), 0.0);
-}
-
 TEST(PowerSchedule, ColumnTotals) {
   PowerSchedule schedule(2, 2);
   schedule.set(0, 0, 1.0);

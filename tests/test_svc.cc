@@ -240,6 +240,26 @@ TEST(Service, QueueFullAnswersRetryLaterAndDrainServesTheAdmitted) {
   EXPECT_EQ(runner.service.stats().requests_served, 2u);
 }
 
+TEST(Service, RequestsOfAClosedSessionAreAppliedButNotServed) {
+  ServiceConfig config = base_config();
+  config.batch_window_s = 0.2;  // the client is gone before the batch fires
+  ServiceRunner runner(config);
+  {
+    ServiceClient client = runner.connect();
+    client.send(request_msg(0, 1, 10.0));
+    client.send(request_msg(1, 2, 15.0));
+    client.send(request_msg(2, 3, 20.0));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  runner.stop();
+
+  // The journal would have recorded all three, so the engine applies all
+  // three; none of them got a reply.
+  EXPECT_EQ(runner.service.stats().requests_received, 3u);
+  EXPECT_EQ(runner.service.game_updates(), 3u);
+  EXPECT_EQ(runner.service.stats().requests_served, 0u);
+}
+
 TEST(Service, DrainNotifiesIdleConnections) {
   ServiceRunner runner(base_config());
   ServiceClient client = runner.connect();

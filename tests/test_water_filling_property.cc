@@ -1,25 +1,24 @@
-// Property-based cross-check of the three water-filling solvers.
+// Property-based cross-check of the two water-filling solvers.
 //
 // For ~1000 random (b, total) instances:
-//   * water_fill, water_fill_bisect and generalized_fill (with identical
-//     per-section costs) must agree on the allocation;
+//   * water_fill and water_fill_bisect must agree on the allocation;
 //   * the budget is conserved: sum(row) == total;
 //   * every entry is non-negative;
 //   * no *inactive* section sits below the water level (a section left
 //     empty must already be loaded to at least lambda*);
 //   * SortedLoads reproduces water_fill bit-for-bit, both freshly assigned
-//     and after single-entry update_one repositioning.
+//     and re-seeded in place inside one reserved arena.
 
 #include "core/water_filling.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
-#include "core/cost.h"
 #include "util/rng.h"
 
 namespace olev::core {
@@ -75,10 +74,6 @@ double tol(double total) { return 1e-9 * std::max(1.0, total); }
 
 TEST(WaterFillProperty, SolversAgreeAndInvariantsHold) {
   util::Rng rng(0xf177);
-  const SectionCost shared_cost(
-      std::make_unique<NonlinearPricing>(5.0, 0.875, 40.0), OverloadCost{1.0},
-      olev::util::kw(40.0));
-
   for (int trial = 0; trial < kTrials; ++trial) {
     const Instance instance = random_instance(rng, trial);
     const auto& b = instance.b;
@@ -86,25 +81,18 @@ TEST(WaterFillProperty, SolversAgreeAndInvariantsHold) {
 
     const WaterFillResult exact = water_fill(b, olev::util::kw(total));
     const WaterFillResult bisect = water_fill_bisect(b, olev::util::kw(total), 1e-13);
-    std::vector<const SectionCost*> costs(b.size(), &shared_cost);
-    const GeneralizedFillResult general =
-        generalized_fill(costs, b, olev::util::kw(total), 1e-13);
 
     // Conservation and non-negativity for every solver.
     EXPECT_NEAR(sum_of(exact.row), total, tol(total)) << "trial " << trial;
     EXPECT_NEAR(sum_of(bisect.row), total, tol(total)) << "trial " << trial;
-    EXPECT_NEAR(sum_of(general.row), total, tol(total)) << "trial " << trial;
     for (std::size_t c = 0; c < b.size(); ++c) {
       EXPECT_GE(exact.row[c], 0.0) << "trial " << trial;
       EXPECT_GE(bisect.row[c], 0.0) << "trial " << trial;
-      EXPECT_GE(general.row[c], 0.0) << "trial " << trial;
     }
 
-    // The three solvers agree entry-wise.
+    // The two solvers agree entry-wise.
     for (std::size_t c = 0; c < b.size(); ++c) {
       EXPECT_NEAR(exact.row[c], bisect.row[c], tol(total))
-          << "trial " << trial << " section " << c;
-      EXPECT_NEAR(exact.row[c], general.row[c], tol(total))
           << "trial " << trial << " section " << c;
     }
 
@@ -141,33 +129,48 @@ TEST(WaterFillProperty, SortedLoadsIsBitIdenticalToWaterFill) {
   }
 }
 
-TEST(WaterFillProperty, UpdateOneMatchesFreshSort) {
-  util::Rng rng(0x1e37);
-  for (int trial = 0; trial < 300; ++trial) {
-    const auto sections = static_cast<std::size_t>(rng.uniform_int(1, 40));
-    std::vector<double> b(sections);
-    for (double& v : b) v = rng.uniform(0.0, 60.0);
+// The arena path Game and the serving engine run: one SortedLoads reserved
+// once, then re-seeded in place with b vectors of varying length (a masked
+// player's shorter subvector lands in the same storage).  Every re-seed
+// must answer exactly like a freshly sorted b and like water_fill.
+TEST(WaterFillProperty, ReassignInReservedArenaMatchesFreshSort) {
+  constexpr std::size_t kCapacity = 80;  // random_instance draws 1..80 sections
+  util::Rng rng(0xa7e4);
+  SortedLoads arena;
+  arena.reserve(kCapacity);
+  std::vector<double> row(kCapacity);
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const Instance instance = random_instance(rng, trial);
+    const auto& b = instance.b;
+    ASSERT_LE(b.size(), kCapacity);
+    arena.reassign(b);
+    ASSERT_EQ(arena.size(), b.size());
 
-    SortedLoads incremental(b);
-    for (int move = 0; move < 10; ++move) {
-      const auto index = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(sections) - 1));
-      const double value = rng.uniform(0.0, 60.0);
-      b[index] = value;
-      incremental.update_one(index, value);
+    const SortedLoads fresh(b);
+    for (const double total : {instance.total, rng.uniform(0.0, 200.0)}) {
+      const WaterFillResult reference = water_fill(b, olev::util::kw(total));
+      const double level = arena.level_for(olev::util::kw(total));
+      EXPECT_EQ(level, fresh.level_for(olev::util::kw(total)))
+          << "trial " << trial;
+      EXPECT_EQ(level, reference.level) << "trial " << trial;
 
-      const double total = rng.uniform(0.0, 200.0);
-      const SortedLoads fresh(b);
-      EXPECT_EQ(fresh.level_for(olev::util::kw(total)), incremental.level_for(olev::util::kw(total)))
-          << "trial " << trial << " move " << move;
-      const auto expect = fresh.fill(olev::util::kw(total));
-      const auto got = incremental.fill(olev::util::kw(total));
-      for (std::size_t c = 0; c < sections; ++c) {
-        EXPECT_EQ(expect.row[c], got.row[c])
-            << "trial " << trial << " move " << move << " section " << c;
+      const std::span<double> got(row.data(), b.size());
+      int active = -1;
+      EXPECT_EQ(arena.fill_into(olev::util::kw(total), got, &active), level)
+          << "trial " << trial;
+      EXPECT_EQ(active, reference.active_sections) << "trial " << trial;
+      const WaterFillResult expect = fresh.fill(olev::util::kw(total));
+      for (std::size_t c = 0; c < b.size(); ++c) {
+        EXPECT_EQ(got[c], expect.row[c])
+            << "trial " << trial << " section " << c;
+        EXPECT_EQ(got[c], reference.row[c])
+            << "trial " << trial << " section " << c;
       }
     }
   }
+
+  const std::vector<double> too_long(kCapacity + 1, 1.0);
+  EXPECT_THROW(arena.reassign(too_long), std::invalid_argument);
 }
 
 }  // namespace

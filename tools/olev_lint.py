@@ -26,7 +26,8 @@ compiler makes checkable but cannot enforce by itself:
   R3 nodiscard-solver     Solver entry points return equilibria or money;
                           silently discarding one is always a bug.  Each
                           name in ENTRY_POINTS must carry [[nodiscard]] on
-                          its header declaration.
+                          its header declaration, and must still be
+                          declared there: a stale entry checks nothing.
 
   R4 raw-clock            src/core and src/util must not call
                           `std::chrono::*_clock::now()` directly; the only
@@ -145,7 +146,7 @@ R4_CLOCK = re.compile(r"\b\w*_clock\s*::\s*now\s*\(")
 
 # Solver entry points that must be [[nodiscard]] at their declaration.
 ENTRY_POINTS = {
-    "src/core/water_filling.h": ("water_fill", "generalized_fill"),
+    "src/core/water_filling.h": ("water_fill",),
     "src/core/best_response.h": ("best_response",),
     "src/core/central.h": ("maximize_welfare",),
     "src/core/stackelberg.h": ("follower_reaction", "solve_stackelberg"),
@@ -429,7 +430,17 @@ def lint_nodiscard_solvers(path: str, text: str) -> list[Finding]:
             if "[[nodiscard]]" in window:
                 covered = True
                 break
-        if declared and not covered:
+        if not declared:
+            findings.append(
+                Finding(
+                    "nodiscard-solver",
+                    path,
+                    1,
+                    f"solver entry point '{name}' is no longer declared "
+                    "here; update ENTRY_POINTS",
+                )
+            )
+        elif not covered:
             findings.append(
                 Finding(
                     "nodiscard-solver",
@@ -818,6 +829,12 @@ SELF_TESTS = [
         "src/core/central.h",
         "[[nodiscard]] CentralResult maximize_welfare(\n    std::span<const double> p_max);\n",
         False,
+    ),
+    (
+        lint_nodiscard_solvers,
+        "src/core/central.h",
+        "// maximize_welfare moved to another header\n[[nodiscard]] int other();\n",
+        True,  # a stale ENTRY_POINTS name is a finding, not a silent pass
     ),
 ]
 

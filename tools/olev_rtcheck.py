@@ -14,6 +14,10 @@ relocations, and verifies that no function reachable from an OLEV_HOT_ROOT
             allowance (virtual dispatch must be explicitly sanctioned and
             every reachable override must itself be a hot root)
 
+Manifest drift is reported too: a root, vcall allowance or stop prefix that
+matches no defined function, and a vcall allowance whose functions make no
+indirect call (a stale sanction would silently excuse later code).
+
 Analyzing relocations in the *optimized object code* -- rather than the AST --
 means the wall sees exactly what will execute: fully inlined allocations,
 compiler-outlined .cold fragments, COMDAT template instantiations, and
@@ -364,6 +368,7 @@ class Analyzer:
                     f"OLEV_HOT_ROOT(\"{pattern}\") matches no defined "
                     f"function -- manifest drift (renamed or dead code?)")
             root_functions[pattern] = matched
+        problems += self.stale_sanctions()
 
         unknown_externals: set[str] = set()
         for pattern, starts in sorted(root_functions.items()):
@@ -375,6 +380,30 @@ class Analyzer:
             for name in sorted(unknown_externals):
                 print(f"  {self.demangled.get(name, name)}", file=sys.stderr)
         return violations, problems
+
+    def stale_sanctions(self) -> list[str]:
+        """Sanctions that no longer excuse anything: a vcall allowance with
+        no defined function, or whose functions make no indirect call, and
+        a stop prefix that no defined function starts with.  Left in place,
+        each would silently excuse whatever later takes the name."""
+        problems = []
+        for name, _ in self.manifest.vcalls:
+            matched = self.match_functions(name)
+            if not matched:
+                problems.append(
+                    f"OLEV_RT_VCALL_OK(\"{name}\") matches no defined "
+                    f"function -- stale sanction (renamed or dead code?)")
+            elif not any(self.functions[m].indirect_sites for m in matched):
+                problems.append(
+                    f"OLEV_RT_VCALL_OK(\"{name}\") sanctions no indirect "
+                    f"call site -- stale sanction (dispatch gone?)")
+        for prefix in self.manifest.stops:
+            if not any(self.demangled.get(name, name).startswith(prefix)
+                       for name in self.functions):
+                problems.append(
+                    f"OLEV_RT_STOP(\"{prefix}\") matches no defined "
+                    f"function -- stale stop (renamed or dead code?)")
+        return problems
 
     def _bfs(self, root: str, violations: list[Violation],
              unknown_externals: set[str]) -> None:
@@ -616,9 +645,26 @@ OLEV_HOT __attribute__((noinline)) double st_stop(double x) {
 }
 void st_stop_driver() { sink = st_stop(1.0); }
 """),
-    ("a root matching no function is a manifest problem", "problem",
-     SELF_TEST_COMMON + """
+    ("a root matching no function is a manifest problem",
+     "problem:OLEV_HOT_ROOT", SELF_TEST_COMMON + """
 OLEV_HOT_ROOT("st_function_that_does_not_exist");
+"""),
+    ("a vcall sanction matching no function is a manifest problem",
+     "problem:OLEV_RT_VCALL_OK", SELF_TEST_COMMON + """
+OLEV_RT_VCALL_OK("st_vcall_target_that_does_not_exist", "self-test: stale");
+"""),
+    ("a vcall sanction on a function without dispatch is a manifest problem",
+     "problem:OLEV_RT_VCALL_OK", SELF_TEST_COMMON + """
+OLEV_HOT_ROOT("st_vcall_stale");
+OLEV_RT_VCALL_OK("st_vcall_stale", "self-test: the dispatch was removed");
+OLEV_HOT __attribute__((noinline)) double st_vcall_stale(double x) {
+  return x * 2.0;
+}
+void st_vcall_stale_driver() { sink = st_vcall_stale(1.0); }
+"""),
+    ("a stop prefix matching no function is a manifest problem",
+     "problem:OLEV_RT_STOP", SELF_TEST_COMMON + """
+OLEV_RT_STOP("st_stop_prefix_that_matches_nothing");
 """),
 ]
 
@@ -638,8 +684,10 @@ def run_self_test(args, src_root: str) -> int:
             print(f"self-test FAIL  {label}: {err}")
             failures += 1
             continue
-        if expect == "problem":
-            verdict_ok = bool(problems)
+        if expect is not None and expect.startswith("problem:"):
+            # A manifest problem naming the expected annotation.
+            marker = expect.partition(":")[2] + "("
+            verdict_ok = any(p.startswith(marker) for p in problems)
         elif expect is None:
             verdict_ok = not violations and not problems
         else:
