@@ -52,8 +52,8 @@ persist::ServiceSnapshot make_snapshot(const Shape& shape, util::Rng& rng) {
   snapshot.engine.sections = shape.sections;
   snapshot.engine.epsilon = 1e-7;
   snapshot.engine.caps_kw.assign(shape.players, 40.0);
-  snapshot.engine.schedule_kw.resize(shape.players * shape.sections);
-  for (double& cell : snapshot.engine.schedule_kw) {
+  snapshot.engine.state_kw.resize(shape.players * shape.sections);
+  for (double& cell : snapshot.engine.state_kw) {
     cell = rng.uniform(0.0, 40.0);
   }
   snapshot.engine.updates = shape.players * 3;

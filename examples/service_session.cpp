@@ -95,7 +95,7 @@ int main() {
   for (std::size_t n = 0; n < kWeights.size(); ++n) {
     std::printf("  OLEV %zu: weight %5.1f  row total %8.4f kW  payment %8.4f $/h\n",
                 n, kWeights[n],
-                service.schedule().row_total(n), payments[n]);
+                service.engine().schedule().row_total(n), payments[n]);
   }
 
   // Cross-check: the in-process bus-driven session must land on the exact
@@ -110,7 +110,7 @@ int main() {
   const svc::DistributedResult reference =
       svc::run_distributed_game(std::move(players), make_cost(), kSections);
   const double diff =
-      service.schedule().max_abs_diff(reference.schedule);
+      service.engine().schedule().max_abs_diff(reference.schedule);
   std::printf("service: max |served - distributed| = %.17g %s\n", diff,
               diff == 0.0 ? "(bit-identical)" : "(MISMATCH)");
   return diff == 0.0 && service.game_converged() ? 0 : 1;

@@ -8,7 +8,7 @@
 //        4     4  crc32        CRC-32 (0xEDB88320) over bytes 8..end
 //        8     2  version      kCodecVersion; any other value is rejected
 //       10     1  kind         BlobKind (snapshot / journal header)
-//       11     1  flags        reserved, must be 0 in version 1
+//       11     1  flags        reserved, must be 0
 //       12     8  payload_len  little-endian byte count of the payload
 //
 // The contract mirrors svc::FrameDecoder's poisoning (svc/frame.h): a
@@ -37,7 +37,10 @@
 namespace olev::persist {
 
 inline constexpr std::uint32_t kMagic = 0x4F4C4556;  // "OLEV" little-endian
-inline constexpr std::uint16_t kCodecVersion = 1;
+/// 2: a mean-field snapshot carries N row totals instead of the N x C
+/// schedule (persist/snapshot.h).  Version 1 snapshots and journals are
+/// rejected as version skew.
+inline constexpr std::uint16_t kCodecVersion = 2;
 inline constexpr std::size_t kBlobHeaderBytes = 20;
 /// Header-alone rejection bound: a payload_len past this is hostile or
 /// corrupt no matter what follows (a city-scale snapshot is ~megabytes).

@@ -10,7 +10,7 @@
 namespace olev::persist {
 namespace {
 
-/// Decode-side allocation bound for the double vectors (schedule, caps):
+/// Decode-side allocation bound for the double vectors (state, caps):
 /// 8M entries is the 64 MiB payload ceiling expressed in doubles.
 constexpr std::size_t kMaxDoubles = 8'000'000;
 
@@ -24,7 +24,7 @@ std::vector<std::uint8_t> encode(const ServiceSnapshot& snapshot) {
   w.u64(engine.sections);
   w.f64(engine.epsilon);
   w.f64_vector(engine.caps_kw);
-  w.f64_vector(engine.schedule_kw);
+  w.f64_vector(engine.state_kw);
   w.u64(engine.updates);
   w.f64(engine.residual);
   w.u8(engine.converged);
@@ -44,7 +44,7 @@ ServiceSnapshot decode(std::span<const std::uint8_t> payload) {
   engine.sections = r.u64();
   engine.epsilon = r.f64();
   engine.caps_kw = r.f64_vector(kMaxDoubles);
-  engine.schedule_kw = r.f64_vector(kMaxDoubles);
+  engine.state_kw = r.f64_vector(kMaxDoubles);
   engine.updates = r.u64();
   engine.residual = r.f64();
   engine.converged = r.u8();
@@ -67,8 +67,13 @@ ServiceSnapshot decode(std::span<const std::uint8_t> payload) {
   if (engine.caps_kw.size() != engine.players) {
     throw std::runtime_error("persist: snapshot caps size != players");
   }
-  if (engine.schedule_kw.size() != engine.players * engine.sections) {
-    throw std::runtime_error("persist: snapshot schedule size mismatch");
+  // Exact: the N x C schedule; mean-field: one row total per player.
+  // Dividing (rather than multiplying players * sections) keeps a hostile
+  // shape from wrapping around.
+  const std::uint64_t per_player = engine.mode == 1 ? 1 : engine.sections;
+  if (engine.state_kw.size() % engine.players != 0 ||
+      engine.state_kw.size() / engine.players != per_player) {
+    throw std::runtime_error("persist: snapshot state size != mode's layout");
   }
   for (const std::uint32_t player : snapshot.bound_players) {
     if (player >= engine.players) {

@@ -3,7 +3,7 @@
 //
 // A ServiceSnapshot is everything the grid controller must remember to
 // resume a half-converged pricing round exactly where SIGTERM interrupted
-// it: the engine's schedule matrix and convergence bookkeeping (announce
+// it: the engine's per-player state and convergence bookkeeping (announce
 // cursor = updates mod players, round, residual, converged flag, the
 // mean-field aggregate), plus the protocol state of the grid-paced session
 // (which players were bound, whether announcements had started, whether
@@ -34,7 +34,10 @@ struct EngineSnapshot {
   std::uint64_t sections = 0;
   double epsilon = 0.0;
   std::vector<double> caps_kw;       ///< resolved per-player caps (size N)
-  std::vector<double> schedule_kw;   ///< row-major N x C matrix
+  /// Per-player state, PricingEngine::state_kw()'s layout: exact mode, the
+  /// row-major N x C schedule; mean-field mode, the N row totals (so a
+  /// 10^6-player mean-field snapshot is ~16 MB, caps included).
+  std::vector<double> state_kw;
   std::uint64_t updates = 0;         ///< announce cursor = updates % players
   double residual = 0.0;             ///< cycle_max_delta_ at save time
   std::uint8_t converged = 0;
@@ -59,7 +62,7 @@ struct ServiceSnapshot {
 std::vector<std::uint8_t> encode(const ServiceSnapshot& snapshot);
 
 /// Parses an encode() payload; throws std::runtime_error on corruption
-/// (bad lengths, schedule size disagreeing with players * sections, ...).
+/// (bad lengths, a state size disagreeing with the mode and shape, ...).
 ServiceSnapshot decode(std::span<const std::uint8_t> payload);
 
 /// Frames + atomically writes the snapshot; records the snapshot_save

@@ -36,7 +36,10 @@ namespace olev::svc {
 /// field instead (core/mean_field.h): the row is the flat T-share spread
 /// p / C and the payment is the flat-field externality
 /// C * [Z(T/C) - Z((T - p)/C)], O(C) per update with no dependence on N --
-/// the serving mode that scales olevd to millions of bound players.
+/// the serving mode that scales olevd to millions of bound players.  A
+/// mean-field engine keeps one row total per player plus the aggregate T,
+/// never the N x C matrix: every row is flat, so its total is all the state
+/// the update reads.
 enum class EngineMode { kExact, kMeanField };
 
 struct EngineConfig {
@@ -74,9 +77,14 @@ class PricingEngine {
 
   EngineMode mode() const { return config_.mode; }
 
-  std::size_t players() const { return schedule_.players(); }
-  std::size_t sections() const { return schedule_.sections(); }
-  const core::PowerSchedule& schedule() const { return schedule_; }
+  std::size_t players() const { return config_.players; }
+  std::size_t sections() const { return config_.sections; }
+  /// The dense N x C schedule.  Exact mode only: a mean-field engine keeps
+  /// no matrix, so this throws std::logic_error there (read state_kw()).
+  const core::PowerSchedule& schedule() const;
+  /// The per-player state a snapshot carries: in exact mode the row-major
+  /// N x C schedule, in mean-field mode the N row totals p_n.
+  std::span<const double> state_kw() const;
   const core::SectionCost& cost() const { return cost_; }
 
   /// True once a full player cycle moved every row total by < epsilon.
@@ -87,7 +95,7 @@ class PricingEngine {
   double residual() const { return cycle_max_delta_; }
   std::size_t updates() const { return updates_; }
   /// Round-robin cursor for grid-paced announcements (updates mod players).
-  std::size_t cursor() const { return updates_ % schedule_.players(); }
+  std::size_t cursor() const { return updates_ % config_.players; }
   /// Resolved per-player admission caps (empty config = +infinity entries);
   /// exported into snapshots so a resume can verify shape compatibility.
   const std::vector<double>& caps_kw() const { return caps_; }
@@ -97,23 +105,24 @@ class PricingEngine {
   double total_load_kw() const { return total_load_kw_; }
 
   /// Restores mid-game state captured by a persist::EngineSnapshot: the
-  /// full schedule matrix plus the convergence bookkeeping.  The engine
-  /// must have been constructed with the same players/sections shape
-  /// (schedule_flat is row-major N x C; anything else throws
-  /// std::invalid_argument).  Cold path: runs once at boot, before any
+  /// per-player state (state_kw()'s layout) plus the convergence
+  /// bookkeeping.  The engine must have the snapshot's mode and shape: a
+  /// state of any other size than state_kw().size() throws
+  /// std::invalid_argument.  Cold path: runs once at boot, before any
   /// apply(), and may allocate freely.
-  void restore_state(std::span<const double> schedule_flat,
-                     std::uint64_t updates, double residual, bool converged,
-                     double total_load_kw);
+  void restore_state(std::span<const double> state, std::uint64_t updates,
+                     double residual, bool converged, double total_load_kw);
 
  private:
-  /// Both fill scratch_applied_ in place; apply() hands out the reference.
-  void apply_exact(std::size_t player, double admitted);
-  void apply_mean_field(std::size_t player, double admitted);
+  /// Both fill scratch_applied_ in place, commit the player's new row and
+  /// return |new row total - old row total|; apply() hands out the reference.
+  double apply_exact(std::size_t player, double admitted);
+  double apply_mean_field(std::size_t player, double admitted);
 
   core::SectionCost cost_;
   EngineConfig config_;
-  core::PowerSchedule schedule_;
+  core::PowerSchedule schedule_;     ///< exact mode only (mean-field: empty)
+  std::vector<double> row_totals_;   ///< mean-field mode only: p_n per player
   std::vector<double> caps_;
   // --- pre-sized hot-path arenas (sized once in the constructor) ---
   Applied scratch_applied_;          ///< row pre-sized to C

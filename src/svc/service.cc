@@ -166,7 +166,7 @@ void PricingService::load_snapshot() {
     throw std::runtime_error(
         "PricingService: snapshot epsilon/caps do not match config");
   }
-  engine_.restore_state(engine.schedule_kw, engine.updates, engine.residual,
+  engine_.restore_state(engine.state_kw, engine.updates, engine.residual,
                         engine.converged != 0, engine.total_load_kw);
   announcing_started_ = snapshot.announcing_started != 0;
   converged_broadcast_ = snapshot.converged_broadcast != 0;
@@ -184,8 +184,8 @@ void PricingService::save_snapshot() {
   engine.sections = config_.sections;
   engine.epsilon = config_.epsilon;
   engine.caps_kw = engine_.caps_kw();
-  const std::span<const double> flat = engine_.schedule().flat();
-  engine.schedule_kw.assign(flat.begin(), flat.end());
+  const std::span<const double> state = engine_.state_kw();
+  engine.state_kw.assign(state.begin(), state.end());
   engine.updates = engine_.updates();
   engine.residual = engine_.residual();
   engine.converged = engine_.converged() ? 1 : 0;

@@ -173,7 +173,8 @@ class PricingService {
 
   // Post-run (or externally-synchronized) inspection.
   const ServiceStats& stats() const { return stats_; }
-  const core::PowerSchedule& schedule() const { return engine_.schedule(); }
+  /// The pricing engine (its schedule() in exact mode, state_kw() in both).
+  const PricingEngine& engine() const { return engine_; }
   bool game_converged() const { return engine_.converged(); }
   std::size_t game_updates() const { return engine_.updates(); }
   /// True when this instance restored its state from a snapshot.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -55,6 +56,25 @@ TEST(Codec, Crc32MatchesTheReferenceVector) {
   // Seed chaining: crc32(a+b) == crc32(b, crc32(a)).
   EXPECT_EQ(crc32(std::span(digits).subspan(4), crc32(std::span(digits).first(4))),
             crc32(digits));
+}
+
+TEST(Codec, Crc32EightByteStepsMatchTheBytewiseFold) {
+  // crc32 folds eight bytes per step plus a bytewise tail; folding one byte
+  // at a time through the seed runs the tail path alone.  Every length
+  // 0..199 and every 8-byte alignment of the tail must agree.
+  util::Rng rng(3);
+  std::vector<std::uint8_t> bytes(200);
+  for (auto& byte : bytes) {
+    byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  }
+  for (std::size_t length = 0; length < bytes.size(); ++length) {
+    const auto prefix = std::span(bytes).first(length);
+    std::uint32_t bytewise = 0;
+    for (std::size_t i = 0; i < length; ++i) {
+      bytewise = crc32(prefix.subspan(i, 1), bytewise);
+    }
+    EXPECT_EQ(crc32(prefix), bytewise) << "length " << length;
+  }
 }
 
 TEST(Codec, WriterReaderRoundTripIsBitIdentical) {
@@ -172,7 +192,7 @@ ServiceSnapshot sample_snapshot() {
   snapshot.engine.epsilon = 1e-7;
   snapshot.engine.caps_kw = {40.0, std::numeric_limits<double>::infinity(),
                              12.5};
-  snapshot.engine.schedule_kw = {1.0 / 3.0, 0.1, 5e-324, 0.0, -0.0, 2e17};
+  snapshot.engine.state_kw = {1.0 / 3.0, 5e-324, -0.0};  // N row totals
   snapshot.engine.updates = 17;
   snapshot.engine.residual = 0.0625;
   snapshot.engine.converged = 0;
@@ -202,7 +222,7 @@ TEST(Snapshot, SaveLoadFileRoundTrip) {
 
 TEST(Snapshot, DecodeRejectsShapeLies) {
   ServiceSnapshot snapshot = sample_snapshot();
-  snapshot.engine.schedule_kw.pop_back();  // no longer players * sections
+  snapshot.engine.state_kw.pop_back();  // no longer one total per player
   EXPECT_THROW((void)decode(encode(snapshot)), std::runtime_error);
 
   ServiceSnapshot bad_player = sample_snapshot();
@@ -266,8 +286,8 @@ TEST(Snapshot, EngineSplitRunIsBitIdenticalToUninterrupted) {
     state.sections = first.sections();
     state.epsilon = 1e-9;
     state.caps_kw = first.caps_kw();
-    const std::span<const double> flat = first.schedule().flat();
-    state.schedule_kw.assign(flat.begin(), flat.end());
+    const std::span<const double> flat = first.state_kw();
+    state.state_kw.assign(flat.begin(), flat.end());
     state.updates = first.updates();
     state.residual = first.residual();
     state.converged = first.converged() ? 1 : 0;
@@ -277,7 +297,7 @@ TEST(Snapshot, EngineSplitRunIsBitIdenticalToUninterrupted) {
     const ServiceSnapshot restored = decode(encode(wrapped));
 
     svc::PricingEngine second(make_cost(), engine_config(mode));
-    second.restore_state(restored.engine.schedule_kw, restored.engine.updates,
+    second.restore_state(restored.engine.state_kw, restored.engine.updates,
                          restored.engine.residual,
                          restored.engine.converged != 0,
                          restored.engine.total_load_kw);
@@ -286,7 +306,7 @@ TEST(Snapshot, EngineSplitRunIsBitIdenticalToUninterrupted) {
           second.apply(i % second.players(), rng.uniform(0.0, 120.0)).payment);
     }
 
-    EXPECT_TRUE(same_bits(second.schedule().flat(), reference.schedule().flat()));
+    EXPECT_TRUE(same_bits(second.state_kw(), reference.state_kw()));
     EXPECT_TRUE(same_bits(payments, reference_payments));
     EXPECT_EQ(second.updates(), reference.updates());
     EXPECT_EQ(second.cursor(), reference.cursor());
@@ -301,6 +321,113 @@ TEST(Snapshot, RestoreRejectsWrongShape) {
   const std::vector<double> wrong(engine.players() * engine.sections() + 1);
   EXPECT_THROW(engine.restore_state(wrong, 0, 0.0, false, 0.0),
                std::invalid_argument);
+  // A mean-field engine holds one total per player, never a matrix.
+  svc::PricingEngine mean_field(make_cost(),
+                                engine_config(svc::EngineMode::kMeanField));
+  const std::vector<double> matrix(mean_field.players() * mean_field.sections());
+  EXPECT_THROW(mean_field.restore_state(matrix, 0, 0.0, false, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)mean_field.schedule(), std::logic_error);
+}
+
+// Bit-exact pin of the mean-field engine's outputs: FNV-1a 64 (the
+// olev_replay fold) over the serialized reply of every update (phases
+// zeroed, as olev_replay does), a sample of others_load announcements, and
+// the final aggregate, residual, update count and converged flag.  The
+// stream mixes capped and uncapped players, round-trips the engine state
+// through the snapshot codec partway, and ends with re-sent requests so the
+// last cycles converge.  Any drift in the mean-field arithmetic or in what
+// a snapshot carries changes the digest.
+class ReplyDigest {
+ public:
+  void bytes(std::span<const std::uint8_t> data) {
+    for (const std::uint8_t byte : data) {
+      hash_ ^= byte;
+      hash_ *= 1099511628211ULL;
+    }
+  }
+  void word(std::uint64_t value) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      hash_ ^= (value >> shift) & 0xffu;
+      hash_ *= 1099511628211ULL;
+    }
+  }
+  void real(double value) { word(std::bit_cast<std::uint64_t>(value)); }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 14695981039346656037ULL;
+};
+
+TEST(MeanFieldDigest, SeededStreamWithSnapshotRoundTripPinned) {
+  constexpr std::size_t kPlayers = 257;
+  constexpr std::size_t kSections = 7;
+  constexpr std::size_t kRandom = 5000;
+  constexpr std::size_t kSplit = 2113;
+  svc::EngineConfig config =
+      engine_config(svc::EngineMode::kMeanField, kPlayers, kSections);
+  config.caps_kw.assign(kPlayers, std::numeric_limits<double>::infinity());
+  for (std::size_t n = 0; n < kPlayers; n += 5) config.caps_kw[n] = 30.0 + n % 7;
+
+  auto engine = std::make_unique<svc::PricingEngine>(make_cost(), config);
+  std::vector<double> last_kw(kPlayers, 0.0);
+  util::Rng rng(4242);
+  ReplyDigest digest;
+  const auto update = [&](std::size_t i, std::size_t player, double kw) {
+    const auto& applied = engine->apply(player, kw);
+    net::ScheduleMsg reply;
+    reply.player = static_cast<std::uint32_t>(player);
+    reply.round = i;
+    reply.row_kw = applied.row;
+    reply.payment = applied.payment;
+    reply.trace_id = i + 1;
+    digest.bytes(net::serialize(reply));
+    if (i % 97 == 0) {
+      for (const double b : engine->others_load(player)) digest.real(b);
+    }
+  };
+
+  for (std::size_t i = 0; i < kRandom; ++i) {
+    if (i == kSplit) {
+      ServiceSnapshot wrapped;
+      EngineSnapshot& state = wrapped.engine;
+      state.mode = 1;
+      state.players = kPlayers;
+      state.sections = kSections;
+      state.epsilon = config.epsilon;
+      state.caps_kw = engine->caps_kw();
+      const std::span<const double> totals = engine->state_kw();
+      state.state_kw.assign(totals.begin(), totals.end());
+      state.updates = engine->updates();
+      state.residual = engine->residual();
+      state.converged = engine->converged() ? 1 : 0;
+      state.total_load_kw = engine->total_load_kw();
+      const ServiceSnapshot restored = decode(encode(wrapped));
+      engine = std::make_unique<svc::PricingEngine>(make_cost(), config);
+      engine->restore_state(restored.engine.state_kw, restored.engine.updates,
+                            restored.engine.residual,
+                            restored.engine.converged != 0,
+                            restored.engine.total_load_kw);
+    }
+    const auto player =
+        static_cast<std::size_t>(rng.uniform_int(0, kPlayers - 1));
+    const double kw = rng.uniform(0.0, 120.0);
+    last_kw[player] = kw;
+    update(i, player, kw);
+  }
+  // Re-send every player's last request round-robin: once a whole cycle
+  // repeats itself, the residual is exactly zero and the engine converges.
+  for (std::size_t k = 0; k < 3 * kPlayers; ++k) {
+    const std::size_t player = k % kPlayers;
+    update(kRandom + k, player, last_kw[player]);
+  }
+  ASSERT_TRUE(engine->converged());
+
+  digest.real(engine->total_load_kw());
+  digest.real(engine->residual());
+  digest.word(engine->updates());
+  digest.word(engine->converged() ? 1u : 0u);
+  EXPECT_EQ(digest.value(), 0xe2434bb004000b24ULL) << std::hex << digest.value();
 }
 
 // --- journal ----------------------------------------------------------------
@@ -412,7 +539,7 @@ TEST(Journal, ReplayThroughFreshEngineMatchesDirectRun) {
       replay_payments.push_back(
           replayed.apply(record.player, record.total_kw).payment);
     }
-    EXPECT_TRUE(same_bits(replayed.schedule().flat(), direct.schedule().flat()));
+    EXPECT_TRUE(same_bits(replayed.state_kw(), direct.state_kw()));
     EXPECT_TRUE(same_bits(replay_payments, direct_payments));
   }
 }
@@ -463,7 +590,7 @@ TEST(Persist, DrainSavesAndResumeRestoresBitExactly) {
       const svc::LoadgenReport report = run_loadgen(load);
       ASSERT_TRUE(report.clean()) << report.to_json();
       runner.stop();  // drain -> snapshot save
-      const std::span<const double> flat = runner.service.schedule().flat();
+      const std::span<const double> flat = runner.service.engine().state_kw();
       first_flat.assign(flat.begin(), flat.end());
       first_updates = runner.service.game_updates();
       EXPECT_EQ(runner.service.stats().snapshots_saved, 1u);
@@ -478,8 +605,84 @@ TEST(Persist, DrainSavesAndResumeRestoresBitExactly) {
     EXPECT_TRUE(resumed.service.resumed());
     resumed.stop();
     EXPECT_EQ(resumed.service.game_updates(), first_updates);
-    EXPECT_TRUE(same_bits(resumed.service.schedule().flat(), first_flat));
+    EXPECT_TRUE(same_bits(resumed.service.engine().state_kw(), first_flat));
   }
+}
+
+TEST(Persist, MeanFieldResumeAtOneHundredThousandPlayersIsBitExact) {
+  // N x C = 10^7 cells: a snapshot of the dense schedule would exceed the
+  // codec's 64 MiB payload cap and be refused at resume.  One total per
+  // player keeps it at ~1.6 MB.
+  constexpr std::size_t kPlayers = 100'000;
+  constexpr std::size_t kSections = 100;
+  constexpr std::size_t kPerPhase = 300;
+  TempPath snap("svc_resume_meanfield_1e5.bin");
+  svc::ServiceConfig config =
+      service_config(kPlayers, kSections, svc::EngineMode::kMeanField);
+  config.snapshot_path = snap.path;
+
+  // One client, one request in flight: the service applies the stream in
+  // send order, so a fresh engine fed the same stream is the uninterrupted
+  // run.
+  util::Rng rng(1905);
+  std::vector<std::pair<std::uint32_t, double>> stream;
+  for (std::size_t i = 0; i < 2 * kPerPhase; ++i) {
+    stream.emplace_back(
+        static_cast<std::uint32_t>(rng.uniform_int(0, kPlayers - 1)),
+        rng.uniform(0.0, 120.0));
+  }
+  std::vector<net::ScheduleMsg> replies;
+  const auto serve = [&](std::uint16_t port, std::size_t begin) {
+    svc::ServiceClient client = svc::ServiceClient::connect("127.0.0.1", port);
+    for (std::size_t i = begin; i < begin + kPerPhase; ++i) {
+      net::PowerRequestMsg request;
+      request.player = stream[i].first;
+      request.round = i;
+      request.total_kw = stream[i].second;
+      client.send(request);
+      const auto reply = client.recv(10.0);
+      ASSERT_TRUE(reply.has_value());
+      const auto* schedule = std::get_if<net::ScheduleMsg>(&*reply);
+      ASSERT_NE(schedule, nullptr);
+      replies.push_back(*schedule);
+    }
+  };
+  {
+    ServiceRunner runner(make_cost(), config);
+    serve(runner.service.port(), 0);
+    runner.stop();  // drain -> snapshot save
+    EXPECT_EQ(runner.service.stats().snapshots_saved, 1u);
+  }
+  EXPECT_LT(read_file(snap.path).size(), std::size_t{2} << 20);
+
+  svc::ServiceConfig resumed_config = config;
+  resumed_config.resume = true;
+  ServiceRunner resumed(make_cost(), resumed_config);
+  ASSERT_TRUE(resumed.service.resumed());
+  serve(resumed.service.port(), kPerPhase);
+  resumed.stop();
+  ASSERT_EQ(replies.size(), stream.size());
+
+  svc::EngineConfig reference_config =
+      engine_config(svc::EngineMode::kMeanField, kPlayers, kSections);
+  reference_config.epsilon = config.epsilon;
+  svc::PricingEngine reference(make_cost(), reference_config);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const auto& applied = reference.apply(stream[i].first, stream[i].second);
+    EXPECT_TRUE(same_bits(replies[i].row_kw, applied.row)) << "request " << i;
+    EXPECT_TRUE(same_bits({&replies[i].payment, 1}, {&applied.payment, 1}))
+        << "request " << i;
+  }
+  const svc::PricingEngine& served = resumed.service.engine();
+  EXPECT_TRUE(same_bits(served.state_kw(), reference.state_kw()));
+  const double served_total = served.total_load_kw();
+  const double reference_total = reference.total_load_kw();
+  EXPECT_TRUE(same_bits({&served_total, 1}, {&reference_total, 1}));
+  const double served_residual = served.residual();
+  const double reference_residual = reference.residual();
+  EXPECT_TRUE(same_bits({&served_residual, 1}, {&reference_residual, 1}));
+  EXPECT_EQ(served.updates(), reference.updates());
+  EXPECT_EQ(served.converged(), reference.converged());
 }
 
 TEST(Persist, ResumeRejectsShapeMismatch) {
@@ -575,7 +778,8 @@ TEST(Persist, ServiceJournalCapturesEveryAdmissionForReplay) {
     const svc::LoadgenReport report = run_loadgen(load);
     ASSERT_TRUE(report.clean()) << report.to_json();
     runner.stop();
-    const std::span<const double> flat = runner.service.schedule().flat();
+    const std::span<const double> flat =
+        runner.service.engine().schedule().flat();
     served_flat.assign(flat.begin(), flat.end());
     EXPECT_EQ(runner.service.stats().journal_records, 120u);
     EXPECT_EQ(runner.service.stats().journal_failures, 0u);
@@ -703,8 +907,9 @@ TEST(Persist, InterruptedGridPacedGameResumesToTheSameFixedPoint) {
     if (converged_early) {
       // The machine outran the interrupter; the uninterrupted contract is
       // already pinned by test_svc.cc, but verify the bits anyway.
-      EXPECT_EQ(runner.service.schedule().max_abs_diff(reference.schedule),
-                0.0);
+      EXPECT_EQ(
+          runner.service.engine().schedule().max_abs_diff(reference.schedule),
+          0.0);
     }
   }
 
@@ -724,7 +929,9 @@ TEST(Persist, InterruptedGridPacedGameResumesToTheSameFixedPoint) {
   ASSERT_TRUE(resumed.service.game_converged());
   EXPECT_EQ(resumed.service.game_updates(), reference.rounds);
   EXPECT_GE(resumed.service.game_updates(), updates_at_interrupt);
-  EXPECT_EQ(resumed.service.schedule().max_abs_diff(reference.schedule), 0.0);
+  EXPECT_EQ(
+      resumed.service.engine().schedule().max_abs_diff(reference.schedule),
+      0.0);
   if (!converged_early) {
     for (std::size_t n = 0; n < weights.size(); ++n) {
       EXPECT_TRUE(clients[n].saw_converged) << "player " << n;

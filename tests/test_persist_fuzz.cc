@@ -1,6 +1,8 @@
 // Hostile-bytes suite for the persist codec (mirrors tests/test_frame_fuzz.cc
 // for the wire framing): every truncation of a snapshot blob, a seeded sweep
 // of single-byte mutations, version/kind/flags skew, and journal tail damage.
+// The snapshot sweeps cover both per-mode state layouts (exact: N x C
+// schedule; mean-field: N row totals), framed and as raw payloads.
 // The contract under test: corruption is always detected (throw, or the
 // journal's `truncated` flag for record-level damage) and never crashes --
 // CI runs this under ASan/UBSan.
@@ -37,15 +39,30 @@ ServiceSnapshot sample_snapshot() {
   snapshot.engine.sections = 3;
   snapshot.engine.epsilon = 1e-7;
   snapshot.engine.caps_kw = {40.0, 40.0, 40.0, 40.0};
-  snapshot.engine.schedule_kw.assign(12, 1.25);
+  snapshot.engine.state_kw.assign(12, 1.25);
   snapshot.engine.updates = 9;
   snapshot.engine.residual = 0.5;
   snapshot.bound_players = {0, 1, 3};
   return snapshot;
 }
 
+/// The same shape in mean-field mode: one row total per player.
+ServiceSnapshot mean_field_snapshot() {
+  ServiceSnapshot snapshot = sample_snapshot();
+  snapshot.engine.mode = 1;
+  snapshot.engine.state_kw = {3.75, 0.0, 120.0, 1.0 / 3.0};
+  snapshot.engine.total_load_kw = 3.75 + 120.0 + 1.0 / 3.0;
+  return snapshot;
+}
+
 std::vector<std::uint8_t> sample_blob() {
   return encode_blob(BlobKind::kSnapshot, encode(sample_snapshot()));
+}
+
+/// Framed blobs of both state layouts, exact first.
+std::vector<std::vector<std::uint8_t>> layout_blobs() {
+  return {sample_blob(),
+          encode_blob(BlobKind::kSnapshot, encode(mean_field_snapshot()))};
 }
 
 void write_raw(const std::string& path, std::span<const std::uint8_t> bytes) {
@@ -60,34 +77,105 @@ void write_raw(const std::string& path, std::span<const std::uint8_t> bytes) {
 // --- snapshot blob: truncation, mutation, skew -------------------------------
 
 TEST(PersistFuzz, EveryTruncationOfASnapshotBlobIsRejected) {
-  const std::vector<std::uint8_t> blob = sample_blob();
-  // The intact blob decodes; every strict prefix must throw -- the header
-  // prefixes from the header fields alone, the payload prefixes from the
-  // length/CRC check.
-  EXPECT_NO_THROW((void)decode_blob(BlobKind::kSnapshot, blob));
-  for (std::size_t length = 0; length < blob.size(); ++length) {
-    EXPECT_THROW((void)decode_blob(BlobKind::kSnapshot,
-                                   std::span(blob).first(length)),
-                 std::runtime_error)
-        << "prefix of " << length << " bytes decoded";
+  for (const std::vector<std::uint8_t>& blob : layout_blobs()) {
+    // The intact blob decodes; every strict prefix must throw -- the header
+    // prefixes from the header fields alone, the payload prefixes from the
+    // length/CRC check.
+    EXPECT_NO_THROW((void)decode(decode_blob(BlobKind::kSnapshot, blob)));
+    for (std::size_t length = 0; length < blob.size(); ++length) {
+      EXPECT_THROW((void)decode_blob(BlobKind::kSnapshot,
+                                     std::span(blob).first(length)),
+                   std::runtime_error)
+          << "prefix of " << length << " bytes decoded";
+    }
   }
 }
 
 TEST(PersistFuzz, EverySingleByteMutationIsRejected) {
-  const std::vector<std::uint8_t> blob = sample_blob();
   util::Rng rng(2024);
-  for (std::size_t offset = 0; offset < blob.size(); ++offset) {
-    std::vector<std::uint8_t> mutated = blob;
-    // A random non-identity XOR: every byte of the blob participates in
-    // either the magic check or the CRC, so any flip must be caught.
-    const auto flip = static_cast<std::uint8_t>(
-        1 + static_cast<std::uint8_t>(rng.uniform(0.0, 254.0)));
-    mutated[offset] ^= flip;
-    EXPECT_THROW((void)decode_blob(BlobKind::kSnapshot, mutated),
-                 std::runtime_error)
-        << "mutation at offset " << offset << " (xor "
-        << static_cast<int>(flip) << ") decoded";
+  for (const std::vector<std::uint8_t>& blob : layout_blobs()) {
+    for (std::size_t offset = 0; offset < blob.size(); ++offset) {
+      std::vector<std::uint8_t> mutated = blob;
+      // A random non-identity XOR: every byte of the blob participates in
+      // either the magic check or the CRC, so any flip must be caught.
+      const auto flip = static_cast<std::uint8_t>(
+          1 + static_cast<std::uint8_t>(rng.uniform(0.0, 254.0)));
+      mutated[offset] ^= flip;
+      EXPECT_THROW((void)decode_blob(BlobKind::kSnapshot, mutated),
+                   std::runtime_error)
+          << "mutation at offset " << offset << " (xor "
+          << static_cast<int>(flip) << ") decoded";
+    }
   }
+}
+
+// --- snapshot payload: the decoder behind the CRC ---------------------------
+
+TEST(PersistFuzz, EveryTruncationOfASnapshotPayloadIsRejected) {
+  // Past the CRC, decode() itself must refuse a short payload in either
+  // layout: every field is length-checked, and a trailing field missing is
+  // an underrun, never a default.
+  for (const ServiceSnapshot& snapshot :
+       {sample_snapshot(), mean_field_snapshot()}) {
+    const std::vector<std::uint8_t> payload = encode(snapshot);
+    EXPECT_EQ(decode(payload), snapshot);
+    for (std::size_t length = 0; length < payload.size(); ++length) {
+      EXPECT_THROW((void)decode(std::span(payload).first(length)),
+                   std::runtime_error)
+          << "payload prefix of " << length << " bytes decoded";
+    }
+  }
+}
+
+TEST(PersistFuzz, PayloadMutationsDecodeToAConsistentLayoutOrThrow) {
+  // An unframed payload has no CRC, so a flipped byte inside a double can
+  // decode.  What must never happen is a decode whose state disagrees with
+  // its own mode and shape (or a crash: CI runs this under ASan/UBSan).
+  util::Rng rng(77);
+  for (const ServiceSnapshot& snapshot :
+       {sample_snapshot(), mean_field_snapshot()}) {
+    const std::vector<std::uint8_t> payload = encode(snapshot);
+    for (std::size_t offset = 0; offset < payload.size(); ++offset) {
+      std::vector<std::uint8_t> mutated = payload;
+      mutated[offset] ^= static_cast<std::uint8_t>(
+          1 + static_cast<std::uint8_t>(rng.uniform(0.0, 254.0)));
+      try {
+        const ServiceSnapshot decoded = decode(mutated);
+        const EngineSnapshot& engine = decoded.engine;
+        const std::uint64_t per_player = engine.mode == 1 ? 1 : engine.sections;
+        EXPECT_EQ(engine.state_kw.size(), engine.players * per_player)
+            << "mutation at offset " << offset;
+        EXPECT_EQ(engine.caps_kw.size(), engine.players);
+      } catch (const std::runtime_error&) {
+        // Rejected: the other acceptable outcome.
+      }
+    }
+  }
+}
+
+TEST(PersistFuzz, StateLayoutMustMatchTheMode) {
+  // A mean-field snapshot carrying the N x C matrix is rejected...
+  ServiceSnapshot matrix = mean_field_snapshot();
+  matrix.engine.state_kw.assign(12, 1.25);
+  EXPECT_THROW((void)decode(encode(matrix)), std::runtime_error);
+  // ... and so is an exact snapshot carrying only N totals.
+  ServiceSnapshot totals = sample_snapshot();
+  totals.engine.state_kw.assign(4, 1.25);
+  EXPECT_THROW((void)decode(encode(totals)), std::runtime_error);
+  // Flipping the mode byte (the payload's first) of an otherwise valid
+  // snapshot leaves a layout the other mode cannot accept.
+  for (const ServiceSnapshot& snapshot :
+       {sample_snapshot(), mean_field_snapshot()}) {
+    std::vector<std::uint8_t> payload = encode(snapshot);
+    payload[0] ^= 1;
+    EXPECT_THROW((void)decode(payload), std::runtime_error);
+  }
+  // A shape whose players * sections wraps 2^64 to the state's size must
+  // not slip through: 4 players x 2^62 sections "is" 0 cells.
+  ServiceSnapshot wrapped = sample_snapshot();
+  wrapped.engine.sections = 1ull << 62;
+  wrapped.engine.state_kw.clear();
+  EXPECT_THROW((void)decode(encode(wrapped)), std::runtime_error);
 }
 
 TEST(PersistFuzz, RandomGarbageNeverDecodes) {

@@ -449,7 +449,8 @@ TEST(Service, GridPacedSessionMatchesDistributedDriverBitExactly) {
   ASSERT_TRUE(runner.service.game_converged());
   EXPECT_EQ(runner.service.game_updates(), reference.rounds);
   // Bit-exact: same update sequence, same arithmetic, zero tolerance.
-  EXPECT_EQ(runner.service.schedule().max_abs_diff(reference.schedule), 0.0);
+  EXPECT_EQ(runner.service.engine().schedule().max_abs_diff(reference.schedule),
+            0.0);
   ASSERT_EQ(reference.payments.size(), weights.size());
   for (std::size_t n = 0; n < weights.size(); ++n) {
     EXPECT_TRUE(clients[n].saw_converged) << "player " << n;
